@@ -8,7 +8,7 @@ a discretized stochastic Airy operator.
 """
 
 from .airy import AiryDiscretization, sample_tw, tw_reference_batch
-from .eig import EigConfig, EigNonConvergence, banded_largest_eig, sturm_count, tridiag_extreme_eig
+from .eig import EigConfig, banded_largest_eig, tridiag_extreme_eig
 from .ensemble import (
     BidiagonalFactor,
     EnsembleParams,
@@ -17,10 +17,9 @@ from .ensemble import (
     laguerre_matrix,
     potential_path,
     sample_bidiagonal,
-    tridiag_matvec,
 )
 from .harness import ExperimentConfig, RunReport, run_experiment
-from .product import SymmetricPentadiagonal, banded_matvec, dense_product_eigs, product_similarity
+from .product import SymmetricPentadiagonal, dense_product_eigs, product_similarity
 from .scaling import (
     ScalingConstants,
     SingleScaling,
@@ -39,7 +38,6 @@ __all__ = [
     "AiryDiscretization",
     "BidiagonalFactor",
     "EigConfig",
-    "EigNonConvergence",
     "EnsembleParams",
     "ExperimentConfig",
     "KSReport",
@@ -53,7 +51,6 @@ __all__ = [
     "SymmetricPentadiagonal",
     "SymmetricTridiagonal",
     "banded_largest_eig",
-    "banded_matvec",
     "chi",
     "closed_form_Cn",
     "closed_form_cn",
@@ -72,8 +69,6 @@ __all__ = [
     "sample_tw",
     "single_scaling",
     "split_stream",
-    "sturm_count",
     "tridiag_extreme_eig",
-    "tridiag_matvec",
     "tw_reference_batch",
 ]

@@ -92,7 +92,7 @@ def sample_tw(
     """One Tracy-Widom(beta) sample: minus the smallest eigenvalue of A.
 
     Pure function of (disc, stream state); the smallest eigenvalue is found
-    by Sturm bisection.
+    by LAPACK bisection (dstebz).
     """
     A = airy_tridiagonal(disc.beta, disc.h, disc.N, cell_noise(disc, stream))
     return -tridiag_extreme_eig(A, "smallest", cfg)

@@ -23,6 +23,10 @@ from .harness import (
 )
 
 
+_TOL_HELP = ("Eigensolver tolerance (default 1e-10): each eigenvalue is within tol times "
+             "the matrix's Gershgorin spectral diameter.")
+
+
 def _common_options(fn):
     for deco in reversed(
         [
@@ -64,7 +68,7 @@ def main():
 @click.option("--q", type=int, default=None, help="Second ladder parameter (p <= q).")
 @click.option("--beta", type=float, default=None, help="Ensemble beta > 0.")
 @click.option("--reps", type=int, default=None, help="Replicate count M.")
-@click.option("--tol", type=float, default=None, help="Eigensolver relative tolerance.")
+@click.option("--tol", type=float, default=None, help=_TOL_HELP)
 @_common_options
 def sample_product(n, p, q, beta, reps, tol, seed, out, workers, config_path):
     """Sample the centered, scaled largest eigenvalue of X_p X_q."""
@@ -77,7 +81,7 @@ def sample_product(n, p, q, beta, reps, tol, seed, out, workers, config_path):
 @click.option("--p", type=int, default=None, help="Ladder parameter (n <= p).")
 @click.option("--beta", type=float, default=None, help="Ensemble beta > 0.")
 @click.option("--reps", type=int, default=None, help="Replicate count M.")
-@click.option("--tol", type=float, default=None, help="Eigensolver relative tolerance.")
+@click.option("--tol", type=float, default=None, help=_TOL_HELP)
 @_common_options
 def sample_single(n, p, beta, reps, tol, seed, out, workers, config_path):
     """Sample the centered, scaled largest eigenvalue of one matrix."""
@@ -90,7 +94,7 @@ def sample_single(n, p, beta, reps, tol, seed, out, workers, config_path):
 @click.option("--reps", type=int, default=None, help="Replicate count M.")
 @click.option("--mesh", type=float, default=None, help="Mesh step h (default 0.02).")
 @click.option("--cutoff", type=float, default=None, help="Domain cutoff L (default 12).")
-@click.option("--tol", type=float, default=None, help="Eigensolver relative tolerance.")
+@click.option("--tol", type=float, default=None, help=_TOL_HELP)
 @_common_options
 def sample_tw(beta, reps, mesh, cutoff, tol, seed, out, workers, config_path):
     """Sample the Tracy-Widom(beta) reference law from the stochastic Airy operator."""

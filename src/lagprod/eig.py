@@ -1,249 +1,100 @@
 """Extremal eigenvalue solvers for symmetric banded matrices.
 
-Tridiagonal extremes use Sturm-count bisection bracketed by Gershgorin
-bounds; pentadiagonal largest eigenvalues use Lanczos iteration with full
-reorthogonalization, accepted only with a residual certificate.
+Both solvers are bisections that start from the Gershgorin bounds and stop
+once the bracket is below rel_tol times the Gershgorin spectral diameter; the
+final bracket is the certificate.  Tridiagonal extremes come from LAPACK
+dstebz (Sturm-count bisection).  The pentadiagonal largest eigenvalue uses
+``lambda_max(S) = inf{x : xI - S positive definite}`` and bisects on whether
+the banded Cholesky factorization (LAPACK dpbtrf) of xI - S succeeds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg.lapack import dpbtrf
 
 from .ensemble import SymmetricTridiagonal
-from .product import SymmetricPentadiagonal, banded_matvec
-from .variates import RandomStream, split_stream
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-
-_SAFMIN = float(np.finfo(np.float64).tiny)
-
-
-def _sturm_kernel(diag, off2, shift, pivmin):
-    # LDL^T pivot recurrence; pivots below pivmin in magnitude are replaced
-    # by -pivmin (LAPACK-style guard), so exact ties count as "below".
-    count = 0
-    q = diag[0] - shift
-    if abs(q) < pivmin:
-        q = -pivmin
-    if q < 0.0:
-        count += 1
-    for k in range(1, diag.shape[0]):
-        q = diag[k] - shift - off2[k - 1] / q
-        if abs(q) < pivmin:
-            q = -pivmin
-        if q < 0.0:
-            count += 1
-    return count
-
-
-if njit is not None:
-    _sturm_kernel = njit(cache=True)(_sturm_kernel)
+from .product import SymmetricPentadiagonal
 
 
 @dataclass(frozen=True)
 class EigConfig:
-    """Tolerances for the eigenvalue solvers.
+    """Tolerance for the eigenvalue solvers.
 
-    ``rel_tol`` is relative: bisection stops when the bracket is below
-    rel_tol times the Gershgorin spectral diameter, and Lanczos accepts when
-    the Ritz residual is below rel_tol times the matrix 1-norm.  ``max_iter``
-    of None resolves to 10n + 100 per call.
+    ``rel_tol`` is relative to the Gershgorin spectral diameter D of the
+    matrix: every returned eigenvalue lies within rel_tol * D of the true one
+    (up to floating-point rounding of order n * eps times the matrix 1-norm).
     """
 
     rel_tol: float = 1e-10
-    max_iter: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.rel_tol <= 1e-2:
             raise ValueError(f"rel_tol must lie in (0, 1e-2], got {self.rel_tol}")
-        if self.max_iter is not None and self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-
-    def resolved_max_iter(self, n: int) -> int:
-        return self.max_iter if self.max_iter is not None else 10 * n + 100
 
 
-class EigNonConvergence(RuntimeError):
-    """Raised when an iterative eigensolve does not meet its residual bound."""
-
-    def __init__(self, message: str, best_value: float, residual: float):
-        super().__init__(message)
-        self.best_value = best_value
-        self.residual = residual
-
-
-def sturm_count(T: SymmetricTridiagonal, x: float) -> int:
-    """Number of eigenvalues of T strictly below x.
-
-    Counts negative pivots of the LDL^T factorization of T - xI.  Exact zero
-    pivots are perturbed to -pivmin, which resolves the measure-zero tie
-    x == eigenvalue downward.
-    """
-    diag = np.ascontiguousarray(T.diag, dtype=np.float64)
-    off2 = np.ascontiguousarray(np.square(T.offdiag, dtype=np.float64))
-    pivmin = _SAFMIN * max(1.0, float(off2.max(initial=0.0)))
-    return int(_sturm_kernel(diag, off2, float(x), pivmin))
-
-
-def gershgorin_bounds(T: SymmetricTridiagonal) -> tuple[float, float]:
-    """Enclosing interval [lo, hi] for the spectrum of T."""
-    r = np.zeros_like(np.asarray(T.diag, dtype=float))
-    a = np.abs(T.offdiag)
-    r[:-1] += a
-    r[1:] += a
-    return float((T.diag - r).min()), float((T.diag + r).max())
+def gershgorin_bounds(diag: np.ndarray, *offdiags: np.ndarray) -> tuple[float, float]:
+    """Enclosing interval [lo, hi] for the spectrum of the symmetric banded
+    matrix with main diagonal ``diag`` and k-th off-diagonals ``offdiags[k-1]``."""
+    r = np.zeros(len(diag))
+    for k, band in enumerate(offdiags, start=1):
+        a = np.abs(band)
+        r[:-k] += a
+        r[k:] += a
+    return float((diag - r).min()), float((diag + r).max())
 
 
 def tridiag_extreme_eig(
     T: SymmetricTridiagonal, which: str, cfg: EigConfig | None = None
 ) -> float:
-    """Smallest or largest eigenvalue of T by Sturm bisection.
+    """Smallest or largest eigenvalue of T by LAPACK Sturm bisection (dstebz).
 
-    ``which`` is "smallest" or "largest".  The bracket starts at the
-    Gershgorin bounds and halves until it is below rel_tol times the initial
-    spectral diameter, so the absolute error is bounded by that product; the
-    iteration budget always suffices because each step halves the bracket.
+    ``which`` is "smallest" or "largest".  The absolute error is at most
+    rel_tol times the Gershgorin spectral diameter of T.
     """
     if which not in ("smallest", "largest"):
         raise ValueError(f'which must be "smallest" or "largest", got {which!r}')
     cfg = cfg or EigConfig()
-    diag = np.ascontiguousarray(T.diag, dtype=np.float64)
-    off2 = np.ascontiguousarray(np.square(T.offdiag, dtype=np.float64))
-    pivmin = _SAFMIN * max(1.0, float(off2.max(initial=0.0)))
-    lo, hi = gershgorin_bounds(T)
-    # absolute error <= rel_tol * spectral diameter; the guard keeps the
-    # loop trivially terminating when the Gershgorin interval degenerates
-    tol = cfg.rel_tol * max(hi - lo, _SAFMIN)
-    threshold = 1 if which == "smallest" else T.n
-    for _ in range(cfg.resolved_max_iter(T.n)):
-        if hi - lo <= tol:
-            break
+    # dstebz squares the off-diagonal; dividing by a power of two near the
+    # largest entry (exact) keeps those squares from underflowing to zero
+    m = max(float(np.abs(T.diag).max()), float(np.abs(T.offdiag).max(initial=0.0)))
+    s = math.ldexp(1.0, math.frexp(m)[1]) if m > 0 else 1.0
+    diag, offdiag = T.diag / s, T.offdiag / s
+    lo, hi = gershgorin_bounds(diag, offdiag)
+    k = 0 if which == "smallest" else T.n - 1
+    # a zero diameter (T = cI) gives tol = 0, for which scipy uses eps * ||T||_1
+    w = scipy.linalg.eigvalsh_tridiagonal(
+        diag, offdiag, select="i", select_range=(k, k), tol=cfg.rel_tol * (hi - lo)
+    )
+    return s * float(w[0])
+
+
+def banded_largest_eig(S: SymmetricPentadiagonal, cfg: EigConfig | None = None) -> float:
+    """Largest eigenvalue of a symmetric pentadiagonal matrix.
+
+    Bisects the Gershgorin interval [lo, hi] on whether xI - S has a banded
+    Cholesky factorization, i.e. whether x lies above lambda_max(S).  Each
+    step halves the bracket, so ceil(log2(1/rel_tol)) steps bring it below
+    rel_tol * (hi - lo); the midpoint of the final bracket is returned.
+    Cholesky is backward stable, so the certificate holds up to rounding of
+    order n * eps * ||S||_1.
+    """
+    cfg = cfg or EigConfig()
+    lo, hi = gershgorin_bounds(S.diag, S.off1, S.off2)
+    # lower band storage of xI - S: row 0 diagonal, rows 1-2 sub-diagonals
+    ab = np.zeros((3, S.n))
+    ab[1, :-1] = -S.off1
+    ab[2, :-2] = -S.off2
+    for _ in range(math.ceil(-math.log2(cfg.rel_tol))):
         mid = 0.5 * (lo + hi)
-        if _sturm_kernel(diag, off2, mid, pivmin) >= threshold:
+        ab[0] = mid - S.diag
+        _, info = dpbtrf(ab, lower=1)
+        if info == 0:
             hi = mid
         else:
             lo = mid
     return 0.5 * (lo + hi)
-
-
-def _lanczos_run(S: SymmetricPentadiagonal, v0: np.ndarray, tol: float, kmax: int, rel_tol: float):
-    """One Lanczos sweep with full reorthogonalization.
-
-    Returns (ritz value, ritz vector in R^n, residual estimate, converged,
-    stagnated).  Stagnated is reported only on budget exhaustion and means
-    the top Ritz value changed relatively by less than rel_tol/10 over the
-    final three iterations.
-    """
-    n = S.n
-    kmax = min(kmax, n)
-    Q = np.empty((kmax, n))
-    alphas = np.empty(kmax)
-    betas = np.empty(kmax)
-
-    q = v0 / np.linalg.norm(v0)
-    Q[0] = q
-    r = banded_matvec(S, q)
-    alphas[0] = q @ r
-    r = r - alphas[0] * q
-
-    ritz_prev = None
-    stagnant = 0
-    k = 1
-    while True:
-        r -= Q[:k].T @ (Q[:k] @ r)
-        beta_k = np.linalg.norm(r)
-
-        if k == 1:
-            lam, y = alphas[0], np.array([1.0])
-        else:
-            w, V = np.linalg.eigh(
-                np.diag(alphas[:k]) + np.diag(betas[: k - 1], 1) + np.diag(betas[: k - 1], -1)
-            )
-            lam, y = w[-1], V[:, -1]
-        residual = abs(beta_k * y[-1])
-        vec = Q[:k].T @ y
-
-        if residual <= tol or beta_k <= _SAFMIN * max(1.0, abs(lam)):
-            return lam, vec, residual, True, False
-        if ritz_prev is not None and abs(lam - ritz_prev) < 0.1 * rel_tol * max(abs(lam), 1.0):
-            stagnant += 1
-        else:
-            stagnant = 0
-        if k >= kmax:
-            # Ran out of budget; flag stagnation so the caller may retry once
-            # from a fresh start vector before giving up.
-            return lam, vec, residual, False, stagnant >= 3
-        ritz_prev = lam
-
-        betas[k - 1] = beta_k
-        q = r / beta_k
-        Q[k] = q
-        r = banded_matvec(S, q)
-        alphas[k] = q @ r
-        r = r - alphas[k] * q - beta_k * Q[k - 1]
-        k += 1
-
-
-def lanczos_top_pair(
-    S: SymmetricPentadiagonal,
-    cfg: EigConfig | None = None,
-    stream: RandomStream | None = None,
-) -> tuple[float, np.ndarray, float]:
-    """Largest eigenvalue of S with its Ritz vector and true residual norm.
-
-    The start vector is all-ones plus one small perturbation drawn from
-    ``stream`` (substream 0), which breaks accidental orthogonality to the
-    top eigenvector while keeping the run reproducible.  If the sweep
-    stagnates without converging it is restarted once from substream 1.
-    """
-    cfg = cfg or EigConfig()
-    if stream is None:
-        stream = split_stream(0, 0)
-    n = S.n
-    tol = cfg.rel_tol * max(S.one_norm(), _SAFMIN)
-    kmax = cfg.resolved_max_iter(n)
-
-    def start_vector(sub: int) -> np.ndarray:
-        g = stream.substream(sub).gaussians(n)
-        norm = np.linalg.norm(g)
-        v = np.ones(n) / np.sqrt(n)
-        if norm > 0:
-            v = v + 1e-3 * g / norm
-        return v
-
-    lam, vec, residual, converged, stagnated = _lanczos_run(
-        S, start_vector(0), tol, kmax, cfg.rel_tol
-    )
-    if not converged and stagnated:
-        lam, vec, residual, converged, _ = _lanczos_run(
-            S, start_vector(1), tol, kmax, cfg.rel_tol
-        )
-    if not converged:
-        raise EigNonConvergence(
-            f"Lanczos did not reach residual {tol:.3e} within {kmax} iterations "
-            f"(best Ritz value {lam:.17g}, residual {residual:.3e})",
-            best_value=float(lam),
-            residual=float(residual),
-        )
-    true_residual = float(np.linalg.norm(banded_matvec(S, vec) - lam * vec))
-    return float(lam), vec, true_residual
-
-
-def banded_largest_eig(
-    S: SymmetricPentadiagonal,
-    cfg: EigConfig | None = None,
-    stream: RandomStream | None = None,
-) -> float:
-    """Largest eigenvalue of a symmetric pentadiagonal matrix.
-
-    Krylov iteration using the banded multiply; accepted eigenpairs satisfy
-    ||S v - lam v|| <= rel_tol * ||S||_1.  Non-convergence raises
-    :class:`EigNonConvergence` carrying the best Ritz value and residual.
-    """
-    lam, _, _ = lanczos_top_pair(S, cfg, stream)
-    return lam

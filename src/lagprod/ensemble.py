@@ -124,17 +124,6 @@ def laguerre_matrix(factor: BidiagonalFactor) -> SymmetricTridiagonal:
     return SymmetricTridiagonal(diag=diag / beta, offdiag=off / beta)
 
 
-def tridiag_matvec(T: SymmetricTridiagonal, v: np.ndarray) -> np.ndarray:
-    """Banded multiply T @ v in O(n)."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (T.n,):
-        raise ValueError(f"vector length {v.shape} does not match matrix size {T.n}")
-    out = T.diag * v
-    out[:-1] += T.offdiag * v[1:]
-    out[1:] += T.offdiag * v[:-1]
-    return out
-
-
 def potential_path(factor: BidiagonalFactor, scaling) -> PotentialPath:
     """Realized potential path y_1(x) + y_2(x) of one sampled matrix.
 

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .airy import AiryDiscretization, sample_tw
-from .eig import EigConfig, EigNonConvergence, banded_largest_eig, tridiag_extreme_eig
+from .eig import EigConfig, banded_largest_eig, tridiag_extreme_eig
 from .ensemble import EnsembleParams, laguerre_matrix, potential_path, sample_bidiagonal
 from .product import product_similarity
 from .scaling import ScalingConstants, coupled_scaling, closed_form_Cn, closed_form_cn, single_scaling
@@ -162,12 +162,7 @@ def _product_replicate(args: tuple, r: int) -> float:
     B_p = sample_bidiagonal(EnsembleParams(n=n, kappa=p, beta=beta), stream_p)
     B_q = sample_bidiagonal(EnsembleParams(n=n, kappa=q, beta=beta), stream_q)
     S = product_similarity(B_q, laguerre_matrix(B_p))
-    try:
-        # Factor entries use substreams 0..2n-2; index 2n-1 is free for the
-        # eigensolver start vector.
-        lam = banded_largest_eig(S, EigConfig(rel_tol=rel_tol), stream=stream_q.substream(2 * n - 1))
-    except EigNonConvergence:
-        return math.nan
+    lam = banded_largest_eig(S, EigConfig(rel_tol=rel_tol))
     return (lam - mu_n) / stat_denom
 
 

@@ -6,7 +6,8 @@ second factor symmetrizes it without changing the spectrum:
     B_q (X_p X_q) B_q^{-1} = B_q X_p B_q^T / beta =: S,
 
 using X_q = B_q^T B_q / beta.  S has bandwidth 2 and is assembled entrywise
-in O(n); no inverse of B_q is ever formed.
+in O(n); no inverse of B_q is ever formed, and the spectra agree even when
+B_q is singular (see :func:`product_similarity`).
 """
 
 from __future__ import annotations
@@ -60,14 +61,13 @@ def product_similarity(B_q: BidiagonalFactor, X_p: SymmetricTridiagonal) -> Symm
     """Assemble S = B_q X_p B_q^T / beta, sharing the spectrum of X_p X_q.
 
     The single 1/beta carries X_q's scaling convention; X_p is passed already
-    scaled.  Requires all diagonal entries of B_q positive (almost sure for
-    sampled factors) so that the conjugation is a genuine similarity.
+    scaled.  No entry of B_q needs to be positive: with A = X_p B_q^T and
+    B = B_q / beta, S = BA and X_p X_q = AB, and AB and BA share their
+    characteristic polynomial for any square A and B.
     """
     n = B_q.n
     if X_p.n != n:
         raise ValueError(f"size mismatch: B_q has n={n}, X_p has n={X_p.n}")
-    if np.any(B_q.diag <= 0):
-        raise ValueError("B_q is degenerate: nonpositive diagonal chi entry")
     d, s = B_q.diag, B_q.subdiag
     a, b = X_p.diag, X_p.offdiag
     beta = B_q.beta
@@ -96,18 +96,3 @@ def dense_product_eigs(X_p: SymmetricTridiagonal, X_q: SymmetricTridiagonal) -> 
     if np.abs(w.imag).max(initial=0.0) > 1e-8:
         raise ValueError("product spectrum is not numerically real")
     return np.sort(w.real)
-
-
-def banded_matvec(S: SymmetricPentadiagonal, v: np.ndarray) -> np.ndarray:
-    """Banded multiply S @ v in O(n)."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (S.n,):
-        raise ValueError(f"vector length {v.shape} does not match matrix size {S.n}")
-    out = S.diag * v
-    if S.n > 1:
-        out[:-1] += S.off1 * v[1:]
-        out[1:] += S.off1 * v[:-1]
-    if S.n > 2:
-        out[:-2] += S.off2 * v[2:]
-        out[2:] += S.off2 * v[:-2]
-    return out

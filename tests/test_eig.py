@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from lagprod.eig import (
-    EigConfig,
-    EigNonConvergence,
-    banded_largest_eig,
-    gershgorin_bounds,
-    lanczos_top_pair,
-    sturm_count,
-    tridiag_extreme_eig,
-)
+from lagprod.eig import EigConfig, banded_largest_eig, gershgorin_bounds, tridiag_extreme_eig
 from lagprod.ensemble import EnsembleParams, SymmetricTridiagonal, laguerre_matrix, sample_bidiagonal
-from lagprod.product import SymmetricPentadiagonal, banded_matvec, dense_product_eigs, product_similarity
+from lagprod.product import SymmetricPentadiagonal, dense_product_eigs, product_similarity
 from lagprod.variates import split_stream
+
+EPS = np.finfo(float).eps
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
 def _diag_matrix(values):
@@ -24,35 +22,15 @@ def _random_tridiag(rng, n):
     return SymmetricTridiagonal(diag=rng.normal(size=n), offdiag=rng.normal(size=n - 1))
 
 
-def test_sturm_count_diagonal():
-    assert sturm_count(_diag_matrix([1.0, 2.0, 3.0]), 2.5) == 2
+def _allowed_error(A, rel_tol):
+    """Solver certificate rel_tol * Gershgorin diameter, plus 4 n eps ||A||_1 of rounding.
 
-
-def test_sturm_count_gershgorin_bounds():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        T = _random_tridiag(rng, int(rng.integers(1, 40)))
-        lo, hi = gershgorin_bounds(T)
-        assert sturm_count(T, lo - 1e-9) == 0
-        assert sturm_count(T, hi + 1e-9) == T.n
-
-
-def test_sturm_count_monotone():
-    rng = np.random.default_rng(2)
-    T = _random_tridiag(rng, 25)
-    lo, hi = gershgorin_bounds(T)
-    shifts = np.linspace(lo - 0.5, hi + 0.5, 200)
-    counts = [sturm_count(T, x) for x in shifts]
-    assert counts == sorted(counts)
-
-
-def test_sturm_count_matches_dense_counts():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        T = _random_tridiag(rng, int(rng.integers(2, 32)))
-        ev = np.linalg.eigvalsh(T.dense())
-        for x in rng.normal(scale=2.0, size=5):
-            assert sturm_count(T, x) == int((ev < x).sum())
+    Computed from the dense matrix, independently of the solvers' own bounds.
+    """
+    d = np.diag(A)
+    r = np.abs(A).sum(axis=1) - np.abs(d)
+    diameter = (d + r).max() - (d - r).min()
+    return rel_tol * diameter + 4 * len(A) * EPS * np.abs(A).sum(axis=0).max()
 
 
 def test_bisection_examples():
@@ -62,6 +40,8 @@ def test_bisection_examples():
     assert tridiag_extreme_eig(T, "largest") == pytest.approx(3.0, abs=1e-9)
     assert tridiag_extreme_eig(T, "smallest") == pytest.approx(1.0, abs=1e-9)
     assert tridiag_extreme_eig(_diag_matrix(np.ones(50)), "largest") == pytest.approx(1.0, abs=1e-9)
+    for which in ("smallest", "largest"):
+        assert tridiag_extreme_eig(_diag_matrix([-4.5]), which) == -4.5
 
 
 def test_bisection_matches_dense_oracle():
@@ -84,64 +64,80 @@ def test_eig_config_validation():
         EigConfig(rel_tol=0.5)
     with pytest.raises(ValueError):
         EigConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        EigConfig(max_iter=0)
-    assert EigConfig().resolved_max_iter(50) == 600
 
 
-def test_lanczos_identity_and_diagonal():
+def test_banded_identity_and_diagonal():
     n = 20
     I = SymmetricPentadiagonal(diag=np.ones(n), off1=np.zeros(n - 1), off2=np.zeros(n - 2))
     assert banded_largest_eig(I) == pytest.approx(1.0, abs=1e-9)
     D = SymmetricPentadiagonal(diag=np.arange(1.0, 6.0), off1=np.zeros(4), off2=np.zeros(3))
     assert banded_largest_eig(D) == pytest.approx(5.0, abs=1e-9)
+    scalar = SymmetricPentadiagonal(diag=np.array([3.0]), off1=np.zeros(0), off2=np.zeros(0))
+    assert banded_largest_eig(scalar) == 3.0
+    pair = SymmetricPentadiagonal(diag=np.array([2.0, 2.0]), off1=np.array([1.0]), off2=np.zeros(0))
+    assert banded_largest_eig(pair) == pytest.approx(3.0, abs=1e-9)
 
 
-def test_lanczos_matches_dense_oracle_on_product():
+def test_banded_matches_dense_oracle_on_product():
     B_p = sample_bidiagonal(EnsembleParams(n=8, kappa=10, beta=2.0), split_stream(21, 0))
     B_q = sample_bidiagonal(EnsembleParams(n=8, kappa=12, beta=2.0), split_stream(21, 1))
     X_p, X_q = laguerre_matrix(B_p), laguerre_matrix(B_q)
     S = product_similarity(B_q, X_p)
-    lam = banded_largest_eig(S, stream=split_stream(21, 2))
+    lam = banded_largest_eig(S)
     oracle = dense_product_eigs(X_p, X_q)[-1]
     assert lam == pytest.approx(oracle, abs=1e-8 * max(1.0, oracle))
 
 
-def test_lanczos_residual_certificate():
-    cfg = EigConfig()
-    for seed in range(20):
-        n = 12 + seed
-        B_p = sample_bidiagonal(EnsembleParams(n=n, kappa=n + 2, beta=1.0), split_stream(500, 2 * seed))
-        B_q = sample_bidiagonal(EnsembleParams(n=n, kappa=n + 4, beta=1.0), split_stream(500, 2 * seed + 1))
-        S = product_similarity(B_q, laguerre_matrix(B_p))
-        lam, vec, residual = lanczos_top_pair(S, cfg, stream=split_stream(501, seed))
-        assert residual <= cfg.rel_tol * S.one_norm()
-        assert np.linalg.norm(banded_matvec(S, vec) - lam * vec) <= cfg.rel_tol * S.one_norm()
-
-
-def test_lanczos_gershgorin_consistency():
-    # largest eigenvalue dominates the largest diagonal entry minus twice the
-    # largest band magnitude sum
-    rng = np.random.default_rng(6)
-    for _ in range(20):
-        n = int(rng.integers(5, 40))
-        S = SymmetricPentadiagonal(
-            diag=rng.normal(size=n), off1=rng.normal(size=n - 1), off2=rng.normal(size=n - 2)
-        )
-        lam = banded_largest_eig(S, stream=split_stream(7, n))
-        band_sum = np.abs(S.off1).max(initial=0.0) + np.abs(S.off2).max(initial=0.0)
-        assert lam >= S.diag.max() - 2.0 * band_sum - 1e-9
-
-
-def test_lanczos_nonconvergence_reports_best_value():
-    rng = np.random.default_rng(8)
-    n = 40
-    S = SymmetricPentadiagonal(
-        diag=rng.uniform(1.0, 2.0, size=n),
-        off1=rng.uniform(0.5, 1.0, size=n - 1),
-        off2=rng.uniform(0.5, 1.0, size=n - 2),
+def _bands(*offsets):
+    """Random symmetric band arrays of one size n in [1, 48], at any magnitude."""
+    entries = st.floats(-1e3, 1e3)
+    return st.integers(1, 48).flatmap(
+        lambda n: st.tuples(*(arrays(np.float64, max(n - k, 0), elements=entries) for k in offsets))
     )
-    with pytest.raises(EigNonConvergence) as excinfo:
-        banded_largest_eig(S, EigConfig(rel_tol=1e-10, max_iter=2), stream=split_stream(9, 0))
-    assert np.isfinite(excinfo.value.best_value)
-    assert excinfo.value.residual > 0
+
+
+@FUZZ
+@given(bands=_bands(0, 1, 2), rel_tol=st.sampled_from([1e-12, 1e-10, 1e-6, 1e-2]))
+def test_banded_gershgorin_consistency(bands, rel_tol):
+    # indefinite matrices: the largest eigenvalue dominates the largest
+    # diagonal entry (a Rayleigh quotient) and matches the dense oracle
+    S = SymmetricPentadiagonal(*bands)
+    A = S.dense()
+    lam = banded_largest_eig(S, EigConfig(rel_tol=rel_tol))
+    assert lam >= S.diag.max() - _allowed_error(A, rel_tol)
+    assert abs(lam - np.linalg.eigvalsh(A)[-1]) <= _allowed_error(A, rel_tol)
+
+
+@FUZZ
+@given(
+    n=st.integers(1, 48),
+    dp=st.integers(0, 16),
+    dq=st.integers(1, 16),
+    beta=st.floats(0.05, 4.0),
+    rel_tol=st.sampled_from([1e-12, 1e-10, 1e-6, 1e-2]),
+    seed=st.integers(0, 2**32),
+)
+def test_banded_certificate_on_sampled_products(n, dp, dq, beta, rel_tol, seed):
+    # p != q and (mostly) non-integer beta, including beta < 1
+    p, q = n + dp, n + dp + dq
+    B_p = sample_bidiagonal(EnsembleParams(n=n, kappa=p, beta=beta), split_stream(seed, 0))
+    B_q = sample_bidiagonal(EnsembleParams(n=n, kappa=q, beta=beta), split_stream(seed, 1))
+    X_p, X_q = laguerre_matrix(B_p), laguerre_matrix(B_q)
+    S = product_similarity(B_q, X_p)
+    lam = banded_largest_eig(S, EigConfig(rel_tol=rel_tol))
+    oracle = dense_product_eigs(X_p, X_q)[-1]
+    assert abs(lam - oracle) <= _allowed_error(S.dense(), rel_tol)
+
+
+@FUZZ
+@given(bands=_bands(0, 1), rel_tol=st.sampled_from([1e-12, 1e-10, 1e-6, 1e-2]))
+def test_tridiag_extremes_certificate(bands, rel_tol):
+    T = SymmetricTridiagonal(diag=bands[0], offdiag=bands[1])
+    A = T.dense()
+    ev = np.linalg.eigvalsh(A)
+    lo, hi = gershgorin_bounds(T.diag, T.offdiag)
+    slack = _allowed_error(A, 0.0)  # rounding in eigvalsh and in the bounds
+    assert lo - slack <= ev[0] and ev[-1] <= hi + slack
+    cfg = EigConfig(rel_tol=rel_tol)
+    assert abs(tridiag_extreme_eig(T, "smallest", cfg) - ev[0]) <= _allowed_error(A, rel_tol)
+    assert abs(tridiag_extreme_eig(T, "largest", cfg) - ev[-1]) <= _allowed_error(A, rel_tol)

@@ -5,12 +5,7 @@ import pytest
 import scipy.linalg
 
 from lagprod.ensemble import BidiagonalFactor, EnsembleParams, SymmetricTridiagonal, laguerre_matrix, sample_bidiagonal
-from lagprod.product import (
-    SymmetricPentadiagonal,
-    banded_matvec,
-    dense_product_eigs,
-    product_similarity,
-)
+from lagprod.product import dense_product_eigs, product_similarity
 from lagprod.variates import split_stream
 
 
@@ -89,36 +84,24 @@ def test_dense_oracle_real_spectrum_and_size_limit():
         dense_product_eigs(big, big)
 
 
-def test_degenerate_factor_rejected():
-    factor = BidiagonalFactor(
-        n=3, kappa=4, beta=1.0, diag=np.array([1.0, 0.0, 1.0]), subdiag=np.array([0.5, 0.5])
+def test_degenerate_factor_keeps_product_spectrum():
+    # a zero diagonal chi makes B_q singular, but S = BA and X_p X_q = AB
+    # (A = X_p B_q^T, B = B_q / beta) still share their spectrum
+    B_p, _ = _sampled_pair(3, 4, 5, 0.5, 18)
+    B_q = BidiagonalFactor(
+        n=3, kappa=5, beta=0.5, diag=np.array([1.0, 0.0, 1.5]), subdiag=np.array([0.5, 0.7])
     )
-    X = SymmetricTridiagonal(diag=np.ones(3), offdiag=np.zeros(2))
-    with pytest.raises(ValueError):
-        product_similarity(factor, X)
+    X_p = laguerre_matrix(B_p)
+    S = product_similarity(B_q, X_p)
+    ev_S = np.sort(np.linalg.eigvalsh(S.dense()))
+    ev = dense_product_eigs(X_p, laguerre_matrix(B_q))
+    assert np.abs(ev_S - ev).max() < 1e-10 * max(1.0, abs(ev).max())
 
 
 def test_size_mismatch_rejected():
     _, B_q = _sampled_pair(4, 5, 6, 1.0, 15)
     with pytest.raises(ValueError):
         product_similarity(B_q, SymmetricTridiagonal(diag=np.ones(5), offdiag=np.zeros(4)))
-
-
-def test_banded_matvec_identity_symmetry_dense():
-    n = 6
-    rng = np.random.default_rng(16)
-    I = SymmetricPentadiagonal(diag=np.ones(n), off1=np.zeros(n - 1), off2=np.zeros(n - 2))
-    v = rng.normal(size=n)
-    assert np.array_equal(banded_matvec(I, v), v)
-
-    S = SymmetricPentadiagonal(diag=rng.normal(size=n), off1=rng.normal(size=n - 1), off2=rng.normal(size=n - 2))
-    for _ in range(10):
-        u, w = rng.normal(size=n), rng.normal(size=n)
-        assert abs(banded_matvec(S, u) @ w - u @ banded_matvec(S, w)) < 1e-12 * n
-    dense = S.dense()
-    assert np.allclose(banded_matvec(S, v), dense @ v, atol=1e-12)
-    with pytest.raises(ValueError):
-        banded_matvec(S, np.ones(n + 1))
 
 
 def test_construction_touches_only_bands_and_stays_fast():
