@@ -27,7 +27,7 @@ import numpy as np
 from .eig import EigConfig, tridiag_extreme_eig
 from .ensemble import SymmetricTridiagonal
 from .stats import SampleBatch
-from .variates import RandomStream, split_stream
+from .variates import split_stream
 
 # Micro-mesh used to realize the Brownian tape; each cell of width h sums
 # about h/MICRO_STEP micro-increments (exactly standard normal after
@@ -71,7 +71,7 @@ def airy_tridiagonal(beta: float, h: float, N: int, noise: np.ndarray | None) ->
     return SymmetricTridiagonal(diag=diag, offdiag=offdiag)
 
 
-def cell_noise(disc: AiryDiscretization, stream: RandomStream) -> np.ndarray | None:
+def cell_noise(disc: AiryDiscretization, stream: np.random.Generator) -> np.ndarray | None:
     """Per-cell unit normals from the stream's micro-mesh Brownian tape.
 
     Cell k aggregates micro-increments mc*(k-1)..mc*k-1 of the tape, where
@@ -82,12 +82,12 @@ def cell_noise(disc: AiryDiscretization, stream: RandomStream) -> np.ndarray | N
     if not math.isfinite(disc.beta):
         return None
     mc = max(1, int(round(disc.h / MICRO_STEP)))
-    micro = stream.gaussians(disc.N * mc)
+    micro = stream.standard_normal(disc.N * mc)
     return micro.reshape(disc.N, mc).sum(axis=1) / math.sqrt(mc)
 
 
 def sample_tw(
-    disc: AiryDiscretization, stream: RandomStream, cfg: EigConfig | None = None
+    disc: AiryDiscretization, stream: np.random.Generator, cfg: EigConfig | None = None
 ) -> float:
     """One Tracy-Widom(beta) sample: minus the smallest eigenvalue of A.
 
@@ -105,7 +105,7 @@ def tw_reference_batch(
     disc: AiryDiscretization | None = None,
     cfg: EigConfig | None = None,
 ) -> SampleBatch:
-    """M independent Tracy-Widom(beta) samples from substreams 0..M-1 of seed."""
+    """M independent Tracy-Widom(beta) samples from streams 0..M-1 of seed."""
     if M < 1:
         raise ValueError(f"need at least one replicate, got M={M}")
     if disc is None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .variates import RandomStream
+from .variates import chi
 
 
 @dataclass(frozen=True)
@@ -92,21 +92,16 @@ class PotentialPath:
             raise ValueError("grid and values must have equal length")
 
 
-def sample_bidiagonal(params: EnsembleParams, stream: RandomStream) -> BidiagonalFactor:
-    """Draw one bidiagonal factor.
+def sample_bidiagonal(params: EnsembleParams, stream: np.random.Generator) -> BidiagonalFactor:
+    """Draw one bidiagonal factor from its own generator.
 
-    Tape discipline: entry j of the diagonal comes from ``stream.substream(j)``
-    and entry j of the subdiagonal from ``stream.substream(n + j)`` (0-based),
-    one chi draw per substream.  Entry values are therefore stable under any
-    refactoring of draw order.
+    Tape discipline (tape 2): all n diagonal entries in order, then all n-1
+    subdiagonal entries, each block as one vectorized chi draw.  The entries
+    are independent, so the draw order does not affect the law.
     """
     n, kappa, beta = params.n, params.kappa, params.beta
-    diag = np.array(
-        [stream.substream(j).chi(beta * (kappa - j)) for j in range(n)]
-    )
-    subdiag = np.array(
-        [stream.substream(n + j).chi(beta * (n - 1 - j)) for j in range(n - 1)]
-    )
+    diag = chi(stream, beta * (kappa - np.arange(n)))
+    subdiag = chi(stream, beta * (n - 1 - np.arange(n - 1)))
     return BidiagonalFactor(n=n, kappa=kappa, beta=beta, diag=diag, subdiag=subdiag)
 
 

@@ -1,18 +1,21 @@
 """Experiment runner: config ingestion, seeded parallel sweeps, persistence.
 
-Replicate r of a run with master seed s draws only from substreams indexed
-by r (product mode uses (s, 2r) and (s, 2r+1) for the two factors), so the
-set of sample values is independent of worker count and scheduling; outputs
-are byte-identical for any --workers value.
+Replicate r of a run with master seed s draws only from the streams
+``split_stream(s, r)`` (product mode: ``(s, 2r)`` and ``(s, 2r+1)``, one per
+factor), so the set of sample values is independent of worker count and
+scheduling; outputs are byte-identical for any --workers value.  No more
+worker processes are started than there are replicates, and a single
+worker runs in-process.
 
 Persistence formats:
 
 * sample CSV: ``# key=value`` metadata lines (one per line, keys sorted,
-  label first), a ``replicate,value`` header, then one row per replicate in
-  replicate order.  Floats are serialized with repr (shortest round-trip);
-  failed replicates are recorded as ``nan``, never filled.
-* reports: JSON with fixed keys, referencing artifact paths together with
-  their sha256 checksums.
+  label first, including the RNG ``tape`` version), a ``replicate,value``
+  header, then one row per replicate in replicate order.  Floats are
+  serialized with repr (shortest round-trip); failed replicates (a
+  non-finite solve) are recorded as ``nan``, never filled.
+* reports: JSON with fixed keys, including the RNG ``tape`` version,
+  referencing artifact paths together with their sha256 checksums.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .ensemble import EnsembleParams, laguerre_matrix, potential_path, sample_bi
 from .product import product_similarity
 from .scaling import ScalingConstants, coupled_scaling, closed_form_Cn, closed_form_cn, single_scaling
 from .stats import SampleBatch, KSReport, ks_two_sample, moments
-from .variates import split_stream
+from .variates import TAPE, split_stream
 
 MODES = ("product", "single", "tw-reference")
 
@@ -188,6 +191,7 @@ def _path_replicate(args: tuple, r: int):
 
 
 def _pmap(fn, count: int, workers: int) -> list:
+    workers = min(workers, count)
     if workers <= 1:
         return [fn(r) for r in range(count)]
     with multiprocessing.get_context().Pool(workers) as pool:
@@ -250,12 +254,16 @@ def read_batch_csv(path: Path | str) -> SampleBatch:
             raise ConfigError(f"{path}:{lineno}: bad row {line!r}") from exc
     if label is None or not rows:
         raise ConfigError(f"{path}: not a sample CSV (missing label or rows)")
-    order = np.array(rows)
-    ok = ~np.isnan(order)
+    return _batch_from_rows(label, params, np.array(rows), str(path))
+
+
+def _batch_from_rows(label: str, params: dict, rows: np.ndarray, source: str) -> SampleBatch:
+    """Batch of the finite rows in replicate order; sets ``params["failures"]``."""
+    ok = ~np.isnan(rows)
     if not ok.any():
-        raise ConfigError(f"{path}: every replicate is missing")
+        raise ConfigError(f"{source}: every replicate is missing")
     params["failures"] = int((~ok).sum())
-    return SampleBatch(label=label, params=params, values=order[ok], order=order[ok])
+    return SampleBatch(label=label, params=params, values=rows[ok], order=rows[ok])
 
 
 def _sha256(path: Path) -> str:
@@ -284,6 +292,7 @@ class RunReport:
 
     def to_dict(self) -> dict:
         return {
+            "tape": TAPE,
             "config": self.config,
             "constants": self.constants,
             "moments": self.moments,
@@ -391,13 +400,13 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
 
     rows = np.array(_pmap(fn, config.reps, config.workers))
     failures = int(np.isnan(rows).sum())
-    params["failures"] = failures
+    params.update(tape=TAPE, failures=failures)
 
     config.out.mkdir(parents=True, exist_ok=True)
     batch_path = config.out / f"{config.mode}-samples.csv"
     write_batch_csv(batch_path, config.mode, params, rows)
 
-    batch = read_batch_csv(batch_path)
+    batch = _batch_from_rows(config.mode, params, rows, str(batch_path))
     mom = moments(batch)
     wall = time.perf_counter() - t0
     report = RunReport(

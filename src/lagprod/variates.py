@@ -1,96 +1,48 @@
-"""Seeded, splittable random variate generation.
+"""Seeded, splittable random variate generation (RNG tape version ``TAPE``).
 
-All randomness in the package flows through :class:`RandomStream`, a thin
-value-like wrapper over numpy's PCG64 bit generator keyed by a 64-bit seed
-plus a tuple of substream indices (numpy ``SeedSequence`` spawn keys).  The
-variate tape produced by a stream is a pure function of
-``(seed, substream indices, draw count)``, so replicates can be farmed out
-to any number of workers and still reproduce bit-identically.
+Every stream is ``PCG64(SeedSequence(seed, spawn_key=(index,)))`` for a
+64-bit master seed and a 64-bit stream index.  SeedSequence's hash mixing
+gives avalanche behavior over both, so nearby (seed, index) pairs yield
+unrelated streams, and the tape a stream produces is a pure function of
+``(seed, index, draw count)``: replicates drawing from their own indices
+reproduce bit-identically on any number of workers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+# Version of the draw discipline, stamped into sample CSVs and run reports.
+# Tape 2: one generator per chi factor (all diagonal entries, then all
+# subdiagonal entries); the Airy sampler's normal tape is unchanged from 1.
+TAPE = 2
+
 _MAX_UINT64 = 2**64 - 1
 
 
-def _check_uint64(value: int, name: str) -> int:
-    if not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
-    value = int(value)
-    if not 0 <= value <= _MAX_UINT64:
-        raise ValueError(f"{name} must fit in an unsigned 64-bit integer, got {value}")
-    return value
-
-
-class RandomStream:
-    """One independent variate stream identified by (seed, key path).
-
-    The underlying generator is ``PCG64(SeedSequence(seed, spawn_key=key))``.
-    SeedSequence's hash mixing gives avalanche behavior over both seed and
-    key, so nearby (seed, index) pairs yield unrelated streams.  A stream is
-    stateful (draws advance it) and must not be shared across concurrent
-    consumers; derive substreams instead.
-    """
-
-    __slots__ = ("seed", "key", "_gen")
-
-    def __init__(self, seed: int, key: tuple[int, ...] = ()):
-        self.seed = _check_uint64(seed, "seed")
-        self.key = tuple(_check_uint64(k, "substream index") for k in key)
-        self._gen = None
-
-    @property
-    def generator(self) -> np.random.Generator:
-        if self._gen is None:
-            ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.key)
-            self._gen = np.random.Generator(np.random.PCG64(ss))
-        return self._gen
-
-    def substream(self, index: int) -> "RandomStream":
-        """Fresh independent stream at ``key + (index,)``, unaffected by draws made here."""
-        return RandomStream(self.seed, self.key + (index,))
-
-    def gaussian(self) -> float:
-        """One standard normal variate."""
-        return float(self.generator.standard_normal())
-
-    def gaussians(self, size: int) -> np.ndarray:
-        """``size`` standard normal variates in tape order."""
-        return self.generator.standard_normal(size)
-
-    def chi(self, alpha: float) -> float:
-        """One chi variate with E[chi^2] = alpha; see :func:`chi`."""
-        return chi(self, alpha)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"RandomStream(seed={self.seed}, key={self.key})"
-
-
-def split_stream(seed: int, index: int) -> RandomStream:
-    """Deterministic substream ``index`` of the master ``seed``.
+def split_stream(seed: int, index: int) -> np.random.Generator:
+    """Deterministic stream ``index`` of the master ``seed``.
 
     Distinct indices give streams with no shared prefix; identical
     (seed, index) pairs replay the identical tape on any platform.
     """
-    return RandomStream(seed, (index,))
+    for value, name in ((seed, "seed"), (index, "stream index")):
+        if not isinstance(value, (int, np.integer)):
+            raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+        if not 0 <= int(value) <= _MAX_UINT64:
+            raise ValueError(f"{name} must fit in an unsigned 64-bit integer, got {value}")
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
+    return np.random.Generator(np.random.PCG64(ss))
 
 
-def gaussian(stream: RandomStream) -> float:
-    """One standard normal variate, advancing the stream."""
-    return stream.gaussian()
-
-
-def chi(stream: RandomStream, alpha: float) -> float:
-    """One chi_alpha variate in the convention E[chi_alpha^2] = alpha.
+def chi(gen: np.random.Generator, alpha):
+    """Chi variates in the convention E[chi_alpha^2] = alpha, one per entry of ``alpha``.
 
     Sampled as sqrt of a gamma variate with shape alpha/2 and scale 2
     (correct for all alpha > 0 including shape < 1).  alpha = 0 denotes the
     degenerate variate identically zero and consumes no tape.
     """
-    if alpha < 0:
+    alpha = np.asarray(alpha, dtype=float)
+    if np.any(alpha < 0):
         raise ValueError(f"chi parameter must be nonnegative, got {alpha}")
-    if alpha == 0:
-        return 0.0
-    return float(np.sqrt(2.0 * stream.generator.standard_gamma(0.5 * alpha)))
+    return np.sqrt(2.0 * gen.standard_gamma(0.5 * alpha))

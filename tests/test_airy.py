@@ -69,6 +69,14 @@ def test_mesh_refinement_shares_brownian_tape():
     assert np.allclose(g_coarse, rebuilt, atol=1e-12)
 
 
+def test_cell_noise_tape_golden():
+    # the Airy sampler's normal tape is the same under RNG tapes 1 and 2
+    g = cell_noise(AiryDiscretization(beta=2.0), split_stream(13015918, 0))
+    assert g[:4].tolist() == [
+        0.5364025547181924, -0.4079509992096393, 0.7995843268358135, 0.09634020616990857
+    ]
+
+
 def test_batch_single_element_matches_sample():
     disc = AiryDiscretization(beta=2.0)
     batch = tw_reference_batch(2.0, 1, 5, disc)

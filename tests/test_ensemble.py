@@ -29,15 +29,16 @@ def test_sample_boundary_n1():
     assert len(factor.subdiag) == 0
 
 
-def test_sample_chi_parameters_and_tape_order():
-    # n=3, kappa=5, beta=2: diag parameters (10, 8, 6), subdiag (4, 2);
-    # entry j comes from substream j (diagonal) / n+j (subdiagonal).
+def test_sample_tape_v2_golden():
+    # n=3, kappa=5, beta=2: diag parameters (10, 8, 6), subdiag (4, 2).  Tape 2
+    # draws the whole diagonal, then the whole subdiagonal, from the factor's
+    # own stream; these values pin that tape.
+    factor = sample_bidiagonal(EnsembleParams(n=3, kappa=5, beta=2.0), split_stream(7, 0))
+    assert factor.diag.tolist() == [2.6205360212158224, 2.4034024374465113, 2.9999673104703244]
+    assert factor.subdiag.tolist() == [2.0334669047423124, 0.34155067645988996]
     stream = split_stream(7, 0)
-    factor = sample_bidiagonal(EnsembleParams(n=3, kappa=5, beta=2.0), stream)
-    expected_diag = [chi(stream.substream(j), a) for j, a in enumerate((10.0, 8.0, 6.0))]
-    expected_sub = [chi(stream.substream(3 + j), a) for j, a in enumerate((4.0, 2.0))]
-    assert factor.diag.tolist() == expected_diag
-    assert factor.subdiag.tolist() == expected_sub
+    assert factor.diag.tolist() == chi(stream, np.array([10.0, 8.0, 6.0])).tolist()
+    assert factor.subdiag.tolist() == chi(stream, np.array([4.0, 2.0])).tolist()
 
 
 def test_sample_determinism():

@@ -151,6 +151,34 @@ def test_failed_replicates_recorded_not_filled(tmp_path, monkeypatch):
     assert report.sample_batch.M == 6
     text = (tmp_path / "product-samples.csv").read_text()
     assert text.count(",nan") == 3
+    # the in-memory batch is the one the CSV reads back as
+    reread = read_batch_csv(tmp_path / "product-samples.csv")
+    assert reread.params == report.sample_batch.params
+    assert reread.order.tolist() == report.sample_batch.order.tolist()
+
+
+def test_all_failed_replicates_raise_config_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "banded_largest_eig", lambda S, cfg=None: math.nan)
+    config = ExperimentConfig(mode="product", n=4, p=4, q=4, beta=1.0, reps=3, seed=5, out=tmp_path)
+    with pytest.raises(ConfigError, match="every replicate is missing"):
+        run_experiment(config)
+    assert (tmp_path / "product-samples.csv").read_text().count(",nan") == 3
+
+
+def test_no_pool_for_fewer_replicates_than_workers(tmp_path, monkeypatch):
+    runner = CliRunner()
+    args = ["sample-product", "--n", "6", "--p", "7", "--q", "9", "--beta", "1",
+            "--reps", "1", "--seed", "3"]
+    assert runner.invoke(cli_main, args + ["--workers", "1", "--out", str(tmp_path / "w1")]).exit_code == 0
+
+    def no_pool(*a, **k):
+        raise AssertionError("a one-replicate sweep must not start a pool")
+
+    monkeypatch.setattr(harness.multiprocessing, "get_context", no_pool)
+    res = runner.invoke(cli_main, args + ["--workers", "2", "--out", str(tmp_path / "w2")])
+    assert res.exit_code == 0, res.output
+    csv = "product-samples.csv"
+    assert (tmp_path / "w1" / csv).read_bytes() == (tmp_path / "w2" / csv).read_bytes()
 
 
 def test_degenerate_draws_do_not_abort_sweep(tmp_path):
@@ -172,6 +200,8 @@ def test_run_report_json_checksums(tmp_path):
     assert art["sha256"] == hashlib.sha256((tmp_path / "tw-reference-samples.csv").read_bytes()).hexdigest()
     assert payload["config"]["mode"] == "tw-reference"
     assert payload["failures"] == 0
+    assert payload["tape"] == 2
+    assert "# tape=2" in (tmp_path / "tw-reference-samples.csv").read_text().splitlines()
     assert payload["moments"]["mean"] == report.moments["mean"]
 
 
