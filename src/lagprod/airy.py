@@ -26,8 +26,6 @@ import numpy as np
 
 from .eig import EigConfig, tridiag_extreme_eig
 from .ensemble import SymmetricTridiagonal
-from .stats import SampleBatch
-from .variates import split_stream
 
 # Micro-mesh used to realize the Brownian tape; each cell of width h sums
 # about h/MICRO_STEP micro-increments (exactly standard normal after
@@ -97,28 +95,3 @@ def sample_tw(
     A = airy_tridiagonal(disc.beta, disc.h, disc.N, cell_noise(disc, stream))
     return -tridiag_extreme_eig(A, "smallest", cfg)
 
-
-def tw_reference_batch(
-    beta: float,
-    M: int,
-    seed: int,
-    disc: AiryDiscretization | None = None,
-    cfg: EigConfig | None = None,
-) -> SampleBatch:
-    """M independent Tracy-Widom(beta) samples from streams 0..M-1 of seed."""
-    if M < 1:
-        raise ValueError(f"need at least one replicate, got M={M}")
-    if disc is None:
-        disc = AiryDiscretization(beta=beta)
-    elif disc.beta != beta:
-        raise ValueError(f"discretization beta {disc.beta} does not match {beta}")
-    order = np.array([sample_tw(disc, split_stream(seed, r), cfg) for r in range(M)])
-    params = {
-        "generator": "stochastic-airy",
-        "beta": beta,
-        "M": M,
-        "seed": seed,
-        "mesh": disc.h,
-        "cutoff": disc.L,
-    }
-    return SampleBatch(label="tw-reference", params=params, values=order, order=order)

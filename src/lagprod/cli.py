@@ -21,6 +21,7 @@ from .harness import (
     write_json,
     write_potential_csv,
 )
+from .variates import TAPE
 
 
 _TOL_HELP = ("Eigensolver tolerance (default 1e-10): each eigenvalue is within tol times "
@@ -149,10 +150,10 @@ def constants(n, p, q, beta):
 def diagnose_potential(n, p, beta, reps, seed, out, workers):
     """Mean potential path of sampled matrices versus the x^2/2 reference."""
     try:
-        if not 1 <= n <= p:
-            raise ConfigError(f"requires 1 <= n <= p, got ({n}, {p})")
-        result = mean_potential_path(n, p, beta, reps, seed, workers)
-    except (ConfigError, ValueError) as exc:
+        config = resolve_config("potential", dict(n=n, p=p, beta=beta, reps=reps, seed=seed,
+                                                  out=out, workers=workers))
+        result = mean_potential_path(config)
+    except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
     out.mkdir(parents=True, exist_ok=True)
@@ -160,7 +161,7 @@ def diagnose_potential(n, p, beta, reps, seed, out, workers):
     write_potential_csv(csv_path, result)
     sup = float(abs(result["mean"] - result["reference"]).max())
     write_json(out / "potential-report.json",
-               {"n": n, "p": p, "beta": beta, "reps": reps, "seed": seed,
+               {"n": n, "p": p, "beta": beta, "reps": reps, "seed": seed, "tape": TAPE,
                 "sup_abs_deviation": sup, "csv": str(csv_path)})
     click.echo(f"wrote {csv_path}")
     click.echo(f"sup |mean - x^2/2| over the full grid: {sup:.4f}")

@@ -1,4 +1,11 @@
-"""Experiment runner: config ingestion, seeded parallel sweeps, persistence.
+"""Experiment runner: config ingestion, one seeded parallel sweep, persistence.
+
+Every mode is a replicate function ``fn(config, r)`` of the validated
+config and the replicate index; :func:`sweep` maps the mode's replicate
+over ``r = 0..reps-1`` and is the one place a batch is drawn.  The modes
+are ``product``, ``single``, ``tw-reference`` and the internal
+``potential`` mode of ``diagnose-potential``; each resolves its constants
+(product or single scaling, or the Airy discretization) once per sweep.
 
 Replicate r of a run with master seed s draws only from the streams
 ``split_stream(s, r)`` (product mode: ``(s, 2r)`` and ``(s, 2r+1)``, one per
@@ -25,21 +32,22 @@ import json
 import math
 import multiprocessing
 import time
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import asdict, dataclass, field
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
 
-from .airy import AiryDiscretization, sample_tw
+from .airy import DEFAULT_CUTOFF, DEFAULT_MESH, AiryDiscretization, sample_tw
 from .eig import EigConfig, banded_largest_eig, tridiag_extreme_eig
 from .ensemble import EnsembleParams, laguerre_matrix, potential_path, sample_bidiagonal
 from .product import product_similarity
-from .scaling import ScalingConstants, coupled_scaling, closed_form_Cn, closed_form_cn, single_scaling
+from .scaling import coupled_scaling, closed_form_Cn, closed_form_cn, product_statistic, single_scaling
 from .stats import SampleBatch, KSReport, ks_two_sample, moments
 from .variates import TAPE, split_stream
 
-MODES = ("product", "single", "tw-reference")
+MODES = ("product", "single", "tw-reference", "potential")
+_SIZES = {"product": ("n", "p", "q"), "single": ("n", "p"), "potential": ("n", "p")}
 
 
 class ConfigError(ValueError):
@@ -66,6 +74,7 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
+        """Check the fields and (re)resolve :attr:`constants`, which checks the sizes."""
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; choose from {MODES}")
         if self.reps < 1:
@@ -76,35 +85,30 @@ class ExperimentConfig:
             raise ConfigError(f"seed must fit in 64 bits, got {self.seed}")
         if not self.beta > 0 or not math.isfinite(self.beta):
             raise ConfigError(f"beta must be positive and finite, got {self.beta}")
-        if self.mode == "product":
-            if self.n is None or self.p is None or self.q is None:
-                raise ConfigError("product mode requires n, p and q")
-            if not 1 <= self.n <= self.p <= self.q:
-                raise ConfigError(
-                    f"product mode requires 1 <= n <= p <= q, got ({self.n}, {self.p}, {self.q})"
-                )
-        elif self.mode == "single":
-            if self.n is None or self.p is None:
-                raise ConfigError("single mode requires n and p")
-            if not 1 <= self.n <= self.p:
-                raise ConfigError(f"single mode requires 1 <= n <= p, got ({self.n}, {self.p})")
+        sizes = _SIZES.get(self.mode, ())
+        if any(getattr(self, k) is None for k in sizes):
+            raise ConfigError(f"{self.mode} mode requires {', '.join(sizes)}")
+        if self.mode == "potential" and self.n < 2:
+            raise ConfigError(f"the potential path needs n >= 2 for a grid point, got n={self.n}")
+        vars(self).pop("constants", None)
         try:
             self.eig_config()
-            if self.mode == "tw-reference":
-                self.airy_disc()
+            self.constants
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
     def eig_config(self) -> EigConfig:
         return EigConfig(rel_tol=self.tol) if self.tol is not None else EigConfig()
 
-    def airy_disc(self) -> AiryDiscretization:
-        kwargs = {}
-        if self.mesh is not None:
-            kwargs["h"] = self.mesh
-        if self.cutoff is not None:
-            kwargs["L"] = self.cutoff
-        return AiryDiscretization(beta=self.beta, **kwargs)
+    @cached_property
+    def constants(self):
+        """The mode's constants: product or single scaling, or the Airy discretization."""
+        if self.mode == "product":
+            return coupled_scaling(self.n, self.p, self.q, self.beta)
+        if self.mode == "tw-reference":
+            return AiryDiscretization(beta=self.beta, h=DEFAULT_MESH if self.mesh is None else self.mesh,
+                                      L=DEFAULT_CUTOFF if self.cutoff is None else self.cutoff)
+        return single_scaling(self.n, self.p)
 
 
 # --- config files ---------------------------------------------------------
@@ -155,39 +159,32 @@ def resolve_config(mode: str, flags: dict, config_path: Path | str | None = None
         raise ConfigError(str(exc)) from exc
 
 
-# --- replicate workers (top level for picklability) ------------------------
+# --- replicates: fn(config, r), top level for picklability -----------------
 
 
-def _product_replicate(args: tuple, r: int) -> float:
-    n, p, q, beta, seed, rel_tol, mu_n, stat_denom = args
-    stream_p = split_stream(seed, 2 * r)
-    stream_q = split_stream(seed, 2 * r + 1)
-    B_p = sample_bidiagonal(EnsembleParams(n=n, kappa=p, beta=beta), stream_p)
-    B_q = sample_bidiagonal(EnsembleParams(n=n, kappa=q, beta=beta), stream_q)
+def _factor(config: ExperimentConfig, kappa: int, stream: int):
+    params = EnsembleParams(n=config.n, kappa=kappa, beta=config.beta)
+    return sample_bidiagonal(params, split_stream(config.seed, stream))
+
+
+def _product_replicate(config: ExperimentConfig, r: int) -> float:
+    B_p, B_q = _factor(config, config.p, 2 * r), _factor(config, config.q, 2 * r + 1)
     S = product_similarity(B_q, laguerre_matrix(B_p))
-    lam = banded_largest_eig(S, EigConfig(rel_tol=rel_tol))
-    return (lam - mu_n) / stat_denom
+    return product_statistic(banded_largest_eig(S, config.eig_config()), config.constants)
 
 
-def _single_replicate(args: tuple, r: int) -> float:
-    n, kappa, beta, seed, rel_tol, mu, sigma = args
-    stream = split_stream(seed, r)
-    B = sample_bidiagonal(EnsembleParams(n=n, kappa=kappa, beta=beta), stream)
-    lam = tridiag_extreme_eig(laguerre_matrix(B), "largest", EigConfig(rel_tol=rel_tol))
-    return (lam - mu) / sigma
+def _single_replicate(config: ExperimentConfig, r: int) -> float:
+    X = laguerre_matrix(_factor(config, config.p, r))
+    s = config.constants
+    return (tridiag_extreme_eig(X, "largest", config.eig_config()) - s.mu) / s.sigma
 
 
-def _tw_replicate(args: tuple, r: int) -> float:
-    beta, h, L, seed, rel_tol = args
-    disc = AiryDiscretization(beta=beta, h=h, L=L)
-    return sample_tw(disc, split_stream(seed, r), EigConfig(rel_tol=rel_tol))
+def _tw_replicate(config: ExperimentConfig, r: int) -> float:
+    return sample_tw(config.constants, split_stream(config.seed, r), config.eig_config())
 
 
-def _path_replicate(args: tuple, r: int):
-    n, i, beta, seed = args
-    stream = split_stream(seed, r)
-    B = sample_bidiagonal(EnsembleParams(n=n, kappa=i, beta=beta), stream)
-    return potential_path(B, single_scaling(n, i)).values
+def _path_replicate(config: ExperimentConfig, r: int) -> np.ndarray:
+    return potential_path(_factor(config, config.p, r), config.constants).values
 
 
 def _pmap(fn, count: int, workers: int) -> list:
@@ -196,6 +193,15 @@ def _pmap(fn, count: int, workers: int) -> list:
         return [fn(r) for r in range(count)]
     with multiprocessing.get_context().Pool(workers) as pool:
         return pool.map(fn, range(count), chunksize=max(1, count // (workers * 4)))
+
+
+def sweep(config: ExperimentConfig) -> np.ndarray:
+    """Rows of replicates 0..reps-1 of the config's mode, in replicate order."""
+    config.validate()
+    # looked up per call, so a replicate patched on the module is the one run
+    replicate = {"product": _product_replicate, "single": _single_replicate,
+                 "tw-reference": _tw_replicate, "potential": _path_replicate}[config.mode]
+    return np.array(_pmap(partial(replicate, config), config.reps, config.workers))
 
 
 # --- persistence -----------------------------------------------------------
@@ -345,62 +351,26 @@ def scaling_report(n: int, p: int, q: int, beta: float) -> dict:
     }
 
 
-def _constants_for(config: ExperimentConfig) -> tuple[dict | None, ScalingConstants | None]:
+def _sample_params(config: ExperimentConfig) -> tuple[dict, dict | None]:
+    """CSV metadata of a run and the constants its report shows."""
+    c = config.constants
+    params = {"beta": config.beta, "seed": config.seed, "M": config.reps, "tape": TAPE}
     if config.mode == "product":
-        sc = coupled_scaling(config.n, config.p, config.q, config.beta)
-        return scaling_report(config.n, config.p, config.q, config.beta), sc
+        params.update(n=c.n, p=c.p, q=c.q, beta0=c.beta0, generator="laguerre-product")
+        return params, scaling_report(c.n, c.p, c.q, c.beta)
     if config.mode == "single":
-        s = single_scaling(config.n, config.p)
-        return {"n": s.n, "i": s.i, "m": s.m, "mu": s.mu, "sigma": s.sigma}, None
-    return None, None
-
-
-def _config_echo(config: ExperimentConfig) -> dict:
-    return {
-        "mode": config.mode,
-        "n": config.n,
-        "p": config.p,
-        "q": config.q,
-        "beta": config.beta,
-        "reps": config.reps,
-        "seed": config.seed,
-        "workers": config.workers,
-        "out": str(config.out),
-        "tol": config.eig_config().rel_tol,
-        "mesh": config.mesh,
-        "cutoff": config.cutoff,
-    }
+        params.update(n=c.n, p=c.i, generator="laguerre-single")
+        return params, asdict(c)
+    params.update(mesh=c.h, cutoff=c.L, generator="stochastic-airy")
+    return params, None
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """Run one Monte Carlo sweep and persist the sample batch plus a report."""
-    config.validate()
     t0 = time.perf_counter()
-    rel_tol = config.eig_config().rel_tol
-    constants_dict, sc = _constants_for(config)
-
-    if config.mode == "product":
-        args = (config.n, config.p, config.q, config.beta, config.seed, rel_tol, sc.mu_n, sc.stat_denom)
-        fn = partial(_product_replicate, args)
-        params = {"n": config.n, "p": config.p, "q": config.q, "beta": config.beta,
-                  "beta0": sc.beta0, "seed": config.seed, "M": config.reps,
-                  "generator": "laguerre-product"}
-    elif config.mode == "single":
-        s = single_scaling(config.n, config.p)
-        args = (config.n, config.p, config.beta, config.seed, rel_tol, s.mu, s.sigma)
-        fn = partial(_single_replicate, args)
-        params = {"n": config.n, "p": config.p, "beta": config.beta,
-                  "seed": config.seed, "M": config.reps, "generator": "laguerre-single"}
-    else:
-        disc = config.airy_disc()
-        args = (config.beta, disc.h, disc.L, config.seed, rel_tol)
-        fn = partial(_tw_replicate, args)
-        params = {"beta": config.beta, "mesh": disc.h, "cutoff": disc.L,
-                  "seed": config.seed, "M": config.reps, "generator": "stochastic-airy"}
-
-    rows = np.array(_pmap(fn, config.reps, config.workers))
-    failures = int(np.isnan(rows).sum())
-    params.update(tape=TAPE, failures=failures)
+    rows = sweep(config)
+    params, constants = _sample_params(config)
+    failures = params["failures"] = int(np.isnan(rows).sum())
 
     config.out.mkdir(parents=True, exist_ok=True)
     batch_path = config.out / f"{config.mode}-samples.csv"
@@ -410,8 +380,8 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     mom = moments(batch)
     wall = time.perf_counter() - t0
     report = RunReport(
-        config=_config_echo(config),
-        constants=constants_dict,
+        config=asdict(config) | {"out": str(config.out), "tol": config.eig_config().rel_tol},
+        constants=constants,
         moments={
             "mean": mom.mean,
             "variance": mom.variance,
@@ -451,21 +421,18 @@ def compare_batches(path_a: Path | str, path_b: Path | str, out: Path | str | No
     return ks, payload
 
 
-def mean_potential_path(
-    n: int, i: int, beta: float, M: int, seed: int, workers: int = 1
-) -> dict[str, np.ndarray]:
-    """Empirical mean of the potential path over M replicates.
+def mean_potential_path(config: ExperimentConfig) -> dict[str, np.ndarray]:
+    """Empirical mean of the potential path over a ``potential``-mode sweep.
 
     Returns arrays x (grid k/m), mean, stderr and the reference x^2/2.
     """
-    if M < 1:
-        raise ConfigError(f"reps must be >= 1, got {M}")
-    paths = np.array(_pmap(partial(_path_replicate, (n, i, beta, seed)), M, workers))
-    x = np.arange(1, n) / single_scaling(n, i).m
+    paths = sweep(config)
+    M = config.reps
+    x = np.arange(1, config.n) / config.constants.m
     return {
         "x": x,
         "mean": paths.mean(axis=0),
-        "stderr": paths.std(axis=0, ddof=1) / math.sqrt(M) if M > 1 else np.zeros(n - 1),
+        "stderr": paths.std(axis=0, ddof=1) / math.sqrt(M) if M > 1 else np.zeros(config.n - 1),
         "reference": 0.5 * x * x,
     }
 

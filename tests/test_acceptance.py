@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from lagprod.airy import AiryDiscretization, airy_tridiagonal, tw_reference_batch
+from lagprod.airy import airy_tridiagonal
 from lagprod.eig import EigConfig, tridiag_extreme_eig
 from lagprod.ensemble import EnsembleParams, laguerre_matrix, sample_bidiagonal
-from lagprod.harness import ExperimentConfig, mean_potential_path, run_experiment
+from lagprod.harness import ExperimentConfig, mean_potential_path, run_experiment, sweep
 from lagprod.product import dense_product_eigs, product_similarity
 from lagprod.scaling import closed_form_cn, coupled_scaling, single_scaling
-from lagprod.stats import ks_two_sample
+from lagprod.stats import SampleBatch, ks_two_sample
 from lagprod.variates import chi, split_stream
 
 GRID27 = [(n, n + dp, n + dp + dq) for n in (2, 16, 300) for dp in (0, 3, 40) for dq in (0, 5, 100)]
@@ -28,10 +28,16 @@ TW2_SEED = 333
 TW2_M = 4000
 
 
+def tw_batch(beta, M, seed, **disc):
+    """Replicates 0..M-1 of a ``tw-reference`` sweep (``disc``: mesh, cutoff)."""
+    rows = sweep(ExperimentConfig(mode="tw-reference", beta=beta, reps=M, seed=seed, **disc))
+    return SampleBatch(label="tw-reference", params={}, values=rows, order=rows)
+
+
 @pytest.fixture(scope="module")
 def tw2_default_batch():
     # shared TW_2 reference at the default discretization (h=0.02, L=12)
-    return tw_reference_batch(2.0, TW2_M, TW2_SEED)
+    return tw_batch(2.0, TW2_M, TW2_SEED)
 
 
 def _criterion(num: int, description: str, ok: bool, detail: str, t0: float) -> None:
@@ -149,8 +155,8 @@ def test_criterion_5_product_law_end_to_end(tmp_path):
     report = run_experiment(config)
     assert report.failures == 0
     assert report.wall_seconds < 600  # throughput sanity on a single core
-    tw2 = tw_reference_batch(2.0, 5000, 505)
-    tw1 = tw_reference_batch(1.0, 5000, 505)
+    tw2 = tw_batch(2.0, 5000, 505)
+    tw1 = tw_batch(1.0, 5000, 505)
     D2 = ks_two_sample(report.sample_batch, tw2).D
     D1 = ks_two_sample(report.sample_batch, tw1).D
     _criterion(
@@ -175,10 +181,10 @@ def test_criterion_6_airy_self_consistency(tw2_default_batch):
     limit = lam_005 + (lam_005 - lam_01) / 3.0
     ground_gap = abs(lam_01 - limit)
 
-    mesh_coarse = tw_reference_batch(2.0, TW2_M, TW2_SEED, AiryDiscretization(beta=2.0, h=0.04))
+    mesh_coarse = tw_batch(2.0, TW2_M, TW2_SEED, mesh=0.04)
     mesh_gap = abs(mesh_coarse.values.mean() - tw2_default_batch.values.mean())
-    near = tw_reference_batch(2.0, TW2_M, TW2_SEED, AiryDiscretization(beta=2.0, L=10.0))
-    far = tw_reference_batch(2.0, TW2_M, TW2_SEED, AiryDiscretization(beta=2.0, L=14.0))
+    near = tw_batch(2.0, TW2_M, TW2_SEED, cutoff=10.0)
+    far = tw_batch(2.0, TW2_M, TW2_SEED, cutoff=14.0)
     cutoff_gap = abs(near.values.mean() - far.values.mean())
     _criterion(
         6,
@@ -196,7 +202,7 @@ def test_criterion_7_potential_path_drift():
     # (about 0.23 deterministic at n=400 on x <= 3) that the 0.1 tolerance
     # does not accommodate; see the documentation note on finite-size bias.
     t0 = time.perf_counter()
-    result = mean_potential_path(400, 400, 2.0, 2000, 606)
+    result = mean_potential_path(ExperimentConfig(mode="potential", n=400, p=400, beta=2.0, reps=2000, seed=606))
     mask = result["x"] <= 3.0
     sup = float(np.abs(result["mean"][mask] - result["reference"][mask]).max())
     _criterion(

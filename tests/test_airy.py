@@ -3,12 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from lagprod.airy import AiryDiscretization, airy_tridiagonal, cell_noise, sample_tw, tw_reference_batch
+from lagprod.airy import AiryDiscretization, airy_tridiagonal, cell_noise, sample_tw
 from lagprod.eig import EigConfig, tridiag_extreme_eig
+from lagprod.harness import ExperimentConfig, sweep
 from lagprod.variates import split_stream
 
 # first zero of the Airy function; ground state of -d^2/dx^2 + x on [0, inf)
 AIRY_GROUND = 2.33810741045977
+
+
+def _tw_rows(beta, M, seed, **disc):
+    """Replicates 0..M-1 of a ``tw-reference`` sweep (``disc``: mesh, cutoff)."""
+    return sweep(ExperimentConfig(mode="tw-reference", beta=beta, reps=M, seed=seed, **disc))
 
 
 def _noiseless_ground(h, L, rel_tol=1e-12):
@@ -78,46 +84,36 @@ def test_cell_noise_tape_golden():
 
 
 def test_batch_single_element_matches_sample():
+    rows = _tw_rows(2.0, 6, 5)
     disc = AiryDiscretization(beta=2.0)
-    batch = tw_reference_batch(2.0, 1, 5, disc)
-    assert batch.values[0] == sample_tw(disc, split_stream(5, 0))
+    for r in (0, 1, 5):
+        assert rows[r] == sample_tw(disc, split_stream(5, r))
 
 
 def test_tw2_moments_default_discretization():
     # oracle bracket from a finer-mesh run (h=0.01, L=14, M=2e4) of this
     # sampler: mean -1.7757 +- 0.0064, variance 0.8293
-    batch = tw_reference_batch(2.0, 1000, 12345)
-    assert -1.95 < batch.values.mean() < -1.60
-    assert 0.65 < batch.values.var(ddof=1) < 1.00
+    rows = _tw_rows(2.0, 1000, 12345)
+    assert -1.95 < rows.mean() < -1.60
+    assert 0.65 < rows.var(ddof=1) < 1.00
 
 
 def test_tw_mean_ordering_beta4_below_beta1():
     # TW means decrease toward -2.3381 as beta grows (fine-mesh oracle:
     # -1.211 at beta=1, -1.776 at beta=2, -2.059 at beta=4)
-    b4 = tw_reference_batch(4.0, 800, 7)
-    b1 = tw_reference_batch(1.0, 800, 7)
-    assert b4.values.mean() < b1.values.mean()
+    assert _tw_rows(4.0, 800, 7).mean() < _tw_rows(1.0, 800, 7).mean()
 
 
 def test_mesh_stability_same_seeds():
-    h_coarse = tw_reference_batch(2.0, 1000, 99, AiryDiscretization(beta=2.0, h=0.04))
-    h_fine = tw_reference_batch(2.0, 1000, 99, AiryDiscretization(beta=2.0, h=0.02))
-    assert abs(h_coarse.values.mean() - h_fine.values.mean()) < 0.03
+    h_coarse = _tw_rows(2.0, 1000, 99, mesh=0.04)
+    h_fine = _tw_rows(2.0, 1000, 99, mesh=0.02)
+    assert abs(h_coarse.mean() - h_fine.mean()) < 0.03
 
 
 def test_cutoff_stability_same_seeds():
-    near = tw_reference_batch(2.0, 800, 98, AiryDiscretization(beta=2.0, L=10.0))
-    far = tw_reference_batch(2.0, 800, 98, AiryDiscretization(beta=2.0, L=14.0))
-    assert abs(near.values.mean() - far.values.mean()) < 0.01
-
-
-def test_batch_metadata_and_sorting():
-    batch = tw_reference_batch(1.5, 64, 3)
-    assert batch.label == "tw-reference"
-    assert batch.params["beta"] == 1.5
-    assert batch.params["M"] == 64
-    assert np.all(np.diff(batch.values) >= 0)
-    assert sorted(batch.order.tolist()) == batch.values.tolist()
+    near = _tw_rows(2.0, 800, 98, cutoff=10.0)
+    far = _tw_rows(2.0, 800, 98, cutoff=14.0)
+    assert abs(near.mean() - far.mean()) < 0.01
 
 
 def test_discretization_validation():
@@ -127,7 +123,3 @@ def test_discretization_validation():
         AiryDiscretization(beta=2.0, h=0.2)
     with pytest.raises(ValueError):
         AiryDiscretization(beta=2.0, L=6.0)
-    with pytest.raises(ValueError):
-        tw_reference_batch(2.0, 0, 1)
-    with pytest.raises(ValueError):
-        tw_reference_batch(2.0, 4, 1, AiryDiscretization(beta=1.0))

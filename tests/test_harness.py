@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from lagprod.harness import (
     resolve_config,
     run_experiment,
     scaling_report,
+    sweep,
     write_batch_csv,
+    write_potential_csv,
 )
 from lagprod.product import product_similarity
 from lagprod.scaling import coupled_scaling, product_statistic
@@ -49,13 +52,45 @@ def test_composition_consistency_single_replicate(tmp_path):
     assert report.sample_batch.values[0] == expected
 
 
-def test_worker_count_independence(tmp_path):
-    paths = []
+_MODE_KWARGS = {
+    "product": dict(n=6, p=7, q=9, beta=0.5),
+    "single": dict(n=6, p=8, beta=2.0),
+    "tw-reference": dict(beta=2.0, mesh=0.1, cutoff=8.0),
+    "potential": dict(n=6, p=8, beta=2.0),
+}
+
+
+@pytest.mark.parametrize("mode", list(_MODE_KWARGS))
+def test_worker_count_independence(tmp_path, mode):
+    blobs = []
     for w in (1, 2, 8):
-        out = tmp_path / f"w{w}"
-        run_experiment(_tw_config(out, workers=w))
-        paths.append((out / "tw-reference-samples.csv").read_bytes())
-    assert paths[0] == paths[1] == paths[2]
+        config = ExperimentConfig(mode=mode, reps=16, seed=11, workers=w, out=tmp_path / f"w{w}",
+                                  **_MODE_KWARGS[mode])
+        if mode == "potential":
+            path = tmp_path / f"w{w}-potential-path.csv"
+            write_potential_csv(path, mean_potential_path(config))
+        else:
+            path = run_experiment(config).batch_path
+        blobs.append(Path(path).read_bytes())
+    assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_sweep_looks_up_replicates_at_call_time(tmp_path, monkeypatch):
+    # the benchmark's traced runs count replicates by patching these module
+    # attributes; a sweep bound to them at import time would never call the patch
+    calls = dict.fromkeys(("_product_replicate", "_tw_replicate", "banded_largest_eig"), 0)
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+    run_experiment(ExperimentConfig(mode="product", n=6, p=7, q=9, reps=5, seed=1, out=tmp_path / "p"))
+    run_experiment(_tw_config(tmp_path / "tw", reps=7))
+    assert calls == {"_product_replicate": 5, "_tw_replicate": 7, "banded_largest_eig": 5}
 
 
 def test_batch_csv_round_trip(tmp_path):
@@ -127,6 +162,7 @@ def test_config_file_precedence_and_validation(tmp_path):
         dict(mode="tw-reference", cutoff=4.0),
         dict(mode="product", n=4, p=5, q=6, tol=0.5),
         dict(mode="product", n=4, p=5, q=6, seed=2**64),
+        dict(mode="tw-reference", reps=0),
     ],
 )
 def test_config_validation_errors(kwargs):
@@ -219,7 +255,7 @@ def test_single_mode_statistic(tmp_path):
 
 
 def test_mean_potential_path_shapes_and_reference():
-    result = mean_potential_path(12, 15, 1.0, 5, 3)
+    result = mean_potential_path(ExperimentConfig(mode="potential", n=12, p=15, beta=1.0, reps=5, seed=3))
     from lagprod.scaling import single_scaling
 
     m = single_scaling(12, 15).m
@@ -283,6 +319,14 @@ def test_cli_diagnose_potential(tmp_path):
     lines = (tmp_path / "potential-path.csv").read_text().splitlines()
     assert lines[0] == "x,mean,stderr,reference"
     assert len(lines) == 10  # header + n-1 grid rows
+    assert json.loads((tmp_path / "potential-report.json").read_text())["tape"] == 2
 
-    bad = runner.invoke(cli_main, ["diagnose-potential", "--n", "10", "--p", "9"])
-    assert bad.exit_code == 2
+    # the same checks as the sampling commands: exit 2, nothing written
+    for args in (["--n", "10", "--p", "9"], ["--n", "10", "--p", "12", "--beta", "inf"],
+                 ["--n", "10", "--p", "12", "--workers", "0"], ["--n", "10", "--p", "12", "--workers", "-3"],
+                 ["--n", "1", "--p", "1"]):
+        out = tmp_path / "bad"
+        bad = runner.invoke(cli_main, ["diagnose-potential", *args, "--reps", "3", "--out", str(out)])
+        assert bad.exit_code == 2, (args, bad.output)
+        assert "config error:" in bad.output
+        assert not out.exists()

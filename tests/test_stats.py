@@ -5,7 +5,7 @@ import pytest
 import scipy.special
 import scipy.stats
 
-from lagprod.airy import AiryDiscretization, tw_reference_batch
+from lagprod.harness import ExperimentConfig, sweep
 from lagprod.stats import SampleBatch, ecdf_eval, kolmogorov_sf, ks_two_sample, moments
 
 
@@ -110,17 +110,14 @@ def test_ks_self_calibration_null_trials():
     # two disjoint 1000-sample batches from the same reference generator stay
     # below the alpha = 0.001 critical distance in at least 99 of 100 seeded
     # trials.  The null holds for any discretization, so the cheapest legal
-    # mesh keeps this affordable.
-    from lagprod.airy import sample_tw
-    from lagprod.variates import split_stream
-
-    disc = AiryDiscretization(beta=2.0, h=0.1, L=8.0)
+    # mesh keeps this affordable.  Each trial is replicates 0..1999 of one
+    # sweep, split at 1000.
     critical = 1.95 * math.sqrt(2.0 / 1000.0)
     below = 0
     for trial in range(100):
-        seed = 60_000 + trial
-        a = tw_reference_batch(2.0, 1000, seed, disc)
-        b = _batch([sample_tw(disc, split_stream(seed, r)) for r in range(1000, 2000)])
-        if ks_two_sample(a, b).D < critical:
+        config = ExperimentConfig(mode="tw-reference", beta=2.0, reps=2000, seed=60_000 + trial,
+                                  mesh=0.1, cutoff=8.0)
+        rows = sweep(config)
+        if ks_two_sample(_batch(rows[:1000]), _batch(rows[1000:])).D < critical:
             below += 1
     assert below >= 99
