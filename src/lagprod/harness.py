@@ -14,6 +14,14 @@ scheduling; outputs are byte-identical for any --workers value.  No more
 worker processes are started than there are replicates, and a single
 worker runs in-process.
 
+A process keeps at most one pool.  Its workers are forked at the first
+parallel sweep of a given worker count and serve every later sweep at that
+count, each worker taking one contiguous chunk of the replicates; a sweep
+at another count terminates them and forks new ones.  Forked workers keep
+the module state (and the open files) of the process as of that fork, so a
+monkeypatch applied later reaches only ``workers=1`` sweeps.  The pool is
+terminated at interpreter exit.
+
 Persistence formats:
 
 * sample CSV: ``# key=value`` metadata lines (one per line, keys sorted,
@@ -27,10 +35,12 @@ Persistence formats:
 
 from __future__ import annotations
 
+import atexit
 import hashlib
 import json
 import math
 import multiprocessing
+import os
 import time
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, partial
@@ -187,12 +197,37 @@ def _path_replicate(config: ExperimentConfig, r: int) -> np.ndarray:
     return potential_path(_factor(config, config.p, r), config.constants).values
 
 
+# the process's one live pool, keyed on (pid, workers); see the module docstring
+_pool = None
+
+
 def _pmap(fn, count: int, workers: int) -> list:
+    global _pool
     workers = min(workers, count)
     if workers <= 1:
         return [fn(r) for r in range(count)]
-    with multiprocessing.get_context().Pool(workers) as pool:
-        return pool.map(fn, range(count), chunksize=max(1, count // (workers * 4)))
+    key = (os.getpid(), workers)
+    if _pool is None or _pool[0] != key:
+        _drop_pool()
+        _pool = key, multiprocessing.get_context().Pool(workers)
+    try:
+        # one chunk per worker, so fn is pickled once per worker, not per replicate
+        return _pool[1].map(fn, range(count), chunksize=-(-count // workers))
+    except BaseException:
+        _drop_pool()  # a failed sweep leaves no work behind in the workers
+        raise
+
+
+def _drop_pool() -> None:
+    """Terminate and join this process's pool; a forked child only forgets its parent's."""
+    global _pool
+    if _pool is not None and _pool[0][0] == os.getpid():
+        _pool[1].terminate()
+        _pool[1].join()
+    _pool = None
+
+
+atexit.register(_drop_pool)  # else the pool is collected still running, a ResourceWarning
 
 
 def sweep(config: ExperimentConfig) -> np.ndarray:

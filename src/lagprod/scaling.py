@@ -78,7 +78,7 @@ def single_scaling(n: int, i: int) -> SingleScaling:
 
 
 def coupled_scaling(n: int, p: int, q: int, beta: float) -> ScalingConstants:
-    """All product constants for 1 <= n <= p <= q and beta > 0.
+    """All product constants for 1 <= n <= p <= q and finite beta > 0.
 
     The coupled grid scale is
 
@@ -96,8 +96,8 @@ def coupled_scaling(n: int, p: int, q: int, beta: float) -> ScalingConstants:
     p/n and q/n.
     """
     _check_ordering(n, p, q)
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     sp = single_scaling(n, p)
     sq = single_scaling(n, q)
 

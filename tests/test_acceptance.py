@@ -29,8 +29,8 @@ TW2_M = 4000
 
 
 def tw_batch(beta, M, seed, **disc):
-    """Replicates 0..M-1 of a ``tw-reference`` sweep (``disc``: mesh, cutoff)."""
-    rows = sweep(ExperimentConfig(mode="tw-reference", beta=beta, reps=M, seed=seed, **disc))
+    """Replicates 0..M-1 of a ``tw-reference`` sweep (``disc``: mesh, cutoff), at two workers."""
+    rows = sweep(ExperimentConfig(mode="tw-reference", beta=beta, reps=M, seed=seed, workers=2, **disc))
     return SampleBatch(label="tw-reference", params={}, values=rows, order=rows)
 
 

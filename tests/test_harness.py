@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +218,52 @@ def test_no_pool_for_fewer_replicates_than_workers(tmp_path, monkeypatch):
     assert (tmp_path / "w1" / csv).read_bytes() == (tmp_path / "w2" / csv).read_bytes()
 
 
+def test_parallel_sweeps_reuse_one_pool(tmp_path, monkeypatch):
+    args = dict(mode="product", n=6, p=7, q=9, beta=0.5, reps=16)
+    csv = "product-samples.csv"
+    run_experiment(ExperimentConfig(seed=4, workers=2, out=tmp_path / "first", **args))
+
+    def no_pool(*a, **k):
+        raise AssertionError("a second sweep at the same worker count must reuse the pool")
+
+    monkeypatch.setattr(harness.multiprocessing, "get_context", no_pool)
+    for w in (2, 1):
+        run_experiment(ExperimentConfig(seed=5, workers=w, out=tmp_path / f"w{w}", **args))
+    assert (tmp_path / "w2" / csv).read_bytes() == (tmp_path / "w1" / csv).read_bytes()
+
+
+def test_worker_count_change_replaces_pool(tmp_path):
+    config = _tw_config(tmp_path / "w1")
+    expected = sweep(config)
+    pools = []
+    for w in (2, 3, 2):
+        config.workers = w
+        assert sweep(config).tobytes() == expected.tobytes()
+        key, pool = harness._pool
+        assert key == (os.getpid(), w)
+        pools.append(pool)
+    assert pools[0] is not pools[1] is not pools[2]
+    for old in pools[:2]:
+        assert not any(worker.is_alive() for worker in old._pool)
+    assert all(worker.is_alive() for worker in pools[2]._pool)
+
+
+def _fails_at_three(r):
+    if r == 3:
+        raise ValueError("replicate 3")
+    return r
+
+
+def test_failed_parallel_sweep_terminates_pool():
+    assert harness._pmap(abs, 8, 2) == list(range(8))
+    _, pool = harness._pool
+    with pytest.raises(ValueError, match="replicate 3"):
+        harness._pmap(_fails_at_three, 8, 2)
+    assert harness._pool is None
+    assert not any(worker.is_alive() for worker in pool._pool)
+    assert harness._pmap(abs, 8, 2) == list(range(8))
+
+
 def test_degenerate_draws_do_not_abort_sweep(tmp_path):
     # at beta = 0.01 a few percent of the chi draws underflow to exactly 0,
     # which makes B_q singular in some replicates
@@ -282,6 +329,12 @@ def test_cli_constants_and_exit_codes(tmp_path):
 
     bad = runner.invoke(cli_main, ["constants", "--n", "8", "--p", "7", "--q", "9"])
     assert bad.exit_code == 2
+
+    # a non-finite beta has no constants (and inf is not valid JSON)
+    for beta in ("inf", "-inf", "nan"):
+        bad = runner.invoke(cli_main, ["constants", "--n", "8", "--p", "8", "--q", "8", "--beta", beta])
+        assert bad.exit_code == 2, (beta, bad.output)
+        assert bad.output.startswith("config error: beta must be positive and finite")
 
     out = tmp_path / "run"
     sampled = runner.invoke(

@@ -111,12 +111,12 @@ def test_ks_self_calibration_null_trials():
     # below the alpha = 0.001 critical distance in at least 99 of 100 seeded
     # trials.  The null holds for any discretization, so the cheapest legal
     # mesh keeps this affordable.  Each trial is replicates 0..1999 of one
-    # sweep, split at 1000.
+    # sweep, split at 1000; the rows are the same at any worker count.
     critical = 1.95 * math.sqrt(2.0 / 1000.0)
     below = 0
     for trial in range(100):
         config = ExperimentConfig(mode="tw-reference", beta=2.0, reps=2000, seed=60_000 + trial,
-                                  mesh=0.1, cutoff=8.0)
+                                  mesh=0.1, cutoff=8.0, workers=2)
         rows = sweep(config)
         if ks_two_sample(_batch(rows[:1000]), _batch(rows[1000:])).D < critical:
             below += 1
