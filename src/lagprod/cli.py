@@ -25,7 +25,7 @@ from .variates import TAPE
 
 
 _TOL_HELP = ("Eigensolver tolerance (default 1e-10): each eigenvalue is within tol times "
-             "the matrix's Gershgorin spectral diameter.")
+             "the matrix's Gershgorin spectral diameter (half that for the product's).")
 
 
 def _common_options(fn):

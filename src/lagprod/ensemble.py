@@ -50,12 +50,6 @@ class BidiagonalFactor:
         if np.any(self.diag < 0) or np.any(self.subdiag < 0):
             raise ValueError("chi realizations must be nonnegative")
 
-    def dense(self) -> np.ndarray:
-        B = np.zeros((self.n, self.n))
-        np.fill_diagonal(B, self.diag)
-        B[np.arange(1, self.n), np.arange(self.n - 1)] = self.subdiag
-        return B
-
 
 @dataclass(frozen=True)
 class SymmetricTridiagonal:
@@ -71,13 +65,6 @@ class SymmetricTridiagonal:
     @property
     def n(self) -> int:
         return len(self.diag)
-
-    def dense(self) -> np.ndarray:
-        A = np.diag(np.asarray(self.diag, dtype=float))
-        idx = np.arange(self.n - 1)
-        A[idx, idx + 1] = self.offdiag
-        A[idx + 1, idx] = self.offdiag
-        return A
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .ensemble import BidiagonalFactor, SymmetricTridiagonal
-
-DENSE_ORACLE_MAX_N = 64
 
 
 @dataclass(frozen=True)
@@ -80,19 +77,3 @@ def product_similarity(B_q: BidiagonalFactor, X_p: SymmetricTridiagonal) -> Symm
         off1[1:] += s[:-1] * s[1:] * b[:-1]
     off2 = d[:-2] * s[1:] * b[:-1] if n > 2 else np.zeros(max(n - 2, 0))
     return SymmetricPentadiagonal(diag=diag / beta, off1=off1 / beta, off2=off2 / beta)
-
-
-def dense_product_eigs(X_p: SymmetricTridiagonal, X_q: SymmetricTridiagonal) -> np.ndarray:
-    """Oracle: all eigenvalues of the dense nonsymmetric product X_p X_q, sorted.
-
-    Restricted to n <= 64.  The product of two PSD matrices has real
-    spectrum; a residual imaginary part above 1e-8 indicates a bad input.
-    """
-    if X_p.n != X_q.n:
-        raise ValueError("size mismatch between factors")
-    if X_p.n > DENSE_ORACLE_MAX_N:
-        raise ValueError(f"dense oracle limited to n <= {DENSE_ORACLE_MAX_N}, got {X_p.n}")
-    w = scipy.linalg.eig(X_p.dense() @ X_q.dense(), right=False)
-    if np.abs(w.imag).max(initial=0.0) > 1e-8:
-        raise ValueError("product spectrum is not numerically real")
-    return np.sort(w.real)

@@ -104,11 +104,6 @@ def ks_two_sample(a: SampleBatch, b: SampleBatch) -> KSReport:
     return KSReport(D=d, n_a=n_a, n_b=n_b, p_value=kolmogorov_sf(lam))
 
 
-def ecdf_eval(batch: SampleBatch, x: float) -> float:
-    """Fraction of batch values <= x."""
-    return float(np.searchsorted(batch.values, x, side="right")) / batch.M
-
-
 _BLOCKS = 20
 
 

@@ -17,10 +17,11 @@ from lagprod.airy import airy_tridiagonal
 from lagprod.eig import EigConfig, tridiag_extreme_eig
 from lagprod.ensemble import EnsembleParams, laguerre_matrix, sample_bidiagonal
 from lagprod.harness import ExperimentConfig, mean_potential_path, run_experiment, sweep
-from lagprod.product import dense_product_eigs, product_similarity
+from lagprod.product import product_similarity
 from lagprod.scaling import closed_form_cn, coupled_scaling, single_scaling
 from lagprod.stats import SampleBatch, ks_two_sample
 from lagprod.variates import chi, split_stream
+from oracles import dense_product_eigs, dense_tridiagonal
 
 GRID27 = [(n, n + dp, n + dp + dq) for n in (2, 16, 300) for dp in (0, 3, 40) for dq in (0, 5, 100)]
 
@@ -87,7 +88,7 @@ def test_criterion_2_similarity_oracle():
             )
             X_p, X_q = laguerre_matrix(B_p), laguerre_matrix(B_q)
             S = product_similarity(B_q, X_p)
-            w = scipy.linalg.eig(X_p.dense() @ X_q.dense(), right=False)
+            w = scipy.linalg.eig(dense_tridiagonal(X_p) @ dense_tridiagonal(X_q), right=False)
             worst_imag = max(worst_imag, float(np.abs(w.imag).max()))
             ev = dense_product_eigs(X_p, X_q)
             ev_S = np.sort(np.linalg.eigvalsh(S.dense()))

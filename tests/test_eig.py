@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from lagprod import eig
 from lagprod.eig import EigConfig, banded_largest_eig, gershgorin_bounds, tridiag_extreme_eig
 from lagprod.ensemble import EnsembleParams, SymmetricTridiagonal, laguerre_matrix, sample_bidiagonal
-from lagprod.product import SymmetricPentadiagonal, dense_product_eigs, product_similarity
+from lagprod.product import SymmetricPentadiagonal, product_similarity
 from lagprod.variates import split_stream
+from oracles import dense_product_eigs, dense_tridiagonal
 
 EPS = np.finfo(float).eps
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -48,7 +50,7 @@ def test_bisection_matches_dense_oracle():
     rng = np.random.default_rng(4)
     for _ in range(100):
         T = _random_tridiag(rng, int(rng.integers(2, 33)))
-        ev = np.linalg.eigvalsh(T.dense())
+        ev = np.linalg.eigvalsh(dense_tridiagonal(T))
         scale = max(1.0, abs(ev).max())
         assert abs(tridiag_extreme_eig(T, "smallest") - ev[0]) < 1e-8 * scale
         assert abs(tridiag_extreme_eig(T, "largest") - ev[-1]) < 1e-8 * scale
@@ -129,11 +131,90 @@ def test_banded_certificate_on_sampled_products(n, dp, dq, beta, rel_tol, seed):
     assert abs(lam - oracle) <= _allowed_error(S.dense(), rel_tol)
 
 
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Column counts of the band arrays that the eig module passes to dsbevx and dpbtrf."""
+    calls = {"dsbevx": [], "dpbtrf": []}
+    for name, log in calls.items():
+        real = getattr(eig, name)
+
+        def spy(ab, *args, _real=real, _log=log, **kwargs):
+            _log.append(ab.shape[1])
+            return _real(ab, *args, **kwargs)
+
+        monkeypatch.setattr(eig, name, spy)
+    return calls
+
+
+def _first_block(n):
+    return int(np.ceil(eig.EDGE_ROWS * n ** (1 / 3)))
+
+
+@pytest.mark.parametrize("rel_tol", [1e-10, 1e-6])
+@pytest.mark.parametrize("n,p,q,beta,reps", [(64, 80, 100, 0.7, 10), (256, 300, 512, 1.5, 4), (1024, 2048, 4096, 0.5, 2)])
+def test_edge_solve_on_sampled_products(n, p, q, beta, reps, rel_tol, lapack_calls):
+    # p != q, non-integer beta: the leading block certifies without bisection,
+    # within rel_tol * D / 2 of the dense eigenvalue
+    for r in range(reps):
+        B_p = sample_bidiagonal(EnsembleParams(n=n, kappa=p, beta=beta), split_stream(6000 + n, 2 * r))
+        B_q = sample_bidiagonal(EnsembleParams(n=n, kappa=q, beta=beta), split_stream(6000 + n, 2 * r + 1))
+        S = product_similarity(B_q, laguerre_matrix(B_p))
+        A = S.dense()
+        for log in lapack_calls.values():
+            log.clear()
+        lam = banded_largest_eig(S, EigConfig(rel_tol=rel_tol))
+        assert abs(lam - np.linalg.eigvalsh(A)[-1]) <= _allowed_error(A, rel_tol / 2)
+        assert lapack_calls["dsbevx"][0] == _first_block(n)
+        assert len(lapack_calls["dpbtrf"]) <= 2 * len(lapack_calls["dsbevx"])
+
+
+def test_edge_solve_doubles_block_up_to_n(lapack_calls):
+    # increasing diagonal: the top eigenvector sits in the trailing rows, so
+    # every leading block fails the certificate and the solver bisects
+    n, rel_tol = 200, 1e-10
+    rng = np.random.default_rng(61)
+    S = SymmetricPentadiagonal(np.arange(float(n)), 0.1 * rng.normal(size=n - 1), 0.1 * rng.normal(size=n - 2))
+    A = S.dense()
+    lam = banded_largest_eig(S, EigConfig(rel_tol=rel_tol))
+    assert abs(lam - np.linalg.eigvalsh(A)[-1]) <= _allowed_error(A, rel_tol / 2)
+    k = _first_block(n)  # 59: blocks of 59 and 118 rows, then 236 >= n
+    assert lapack_calls["dsbevx"] == [k, 2 * k]
+    assert len(lapack_calls["dpbtrf"]) >= np.ceil(-np.log2(rel_tol))
+
+
+def test_edge_solve_doubles_block_once(lapack_calls):
+    # a diagonal spike just past the first block: one doubling certifies it
+    n, rel_tol = 500, 1e-10
+    k = _first_block(n)
+    rng = np.random.default_rng(62)
+    diag = rng.normal(size=n)
+    diag[k + 5] = 20.0
+    S = SymmetricPentadiagonal(diag, 0.1 * rng.normal(size=n - 1), 0.1 * rng.normal(size=n - 2))
+    A = S.dense()
+    lam = banded_largest_eig(S, EigConfig(rel_tol=rel_tol))
+    assert abs(lam - np.linalg.eigvalsh(A)[-1]) <= _allowed_error(A, rel_tol / 2)
+    assert lapack_calls["dsbevx"] == [k, 2 * k]
+    assert len(lapack_calls["dpbtrf"]) <= 4
+
+
+def test_edge_solve_bisects_when_h_is_below_rounding(lapack_calls):
+    # rel_tol * D / 2 below n * eps * |S|: no block solve, the full bisection runs
+    n, rel_tol = 256, 1e-16
+    B_p = sample_bidiagonal(EnsembleParams(n=n, kappa=n, beta=1.0), split_stream(63, 0))
+    B_q = sample_bidiagonal(EnsembleParams(n=n, kappa=n, beta=1.0), split_stream(63, 1))
+    S = product_similarity(B_q, laguerre_matrix(B_p))
+    A = S.dense()
+    lam = banded_largest_eig(S, EigConfig(rel_tol=rel_tol))
+    assert abs(lam - np.linalg.eigvalsh(A)[-1]) <= _allowed_error(A, rel_tol / 2)
+    assert lapack_calls["dsbevx"] == []
+    assert lapack_calls["dpbtrf"] == [n] * int(np.ceil(-np.log2(rel_tol)))
+
+
 @FUZZ
 @given(bands=_bands(0, 1), rel_tol=st.sampled_from([1e-12, 1e-10, 1e-6, 1e-2]))
 def test_tridiag_extremes_certificate(bands, rel_tol):
     T = SymmetricTridiagonal(diag=bands[0], offdiag=bands[1])
-    A = T.dense()
+    A = dense_tridiagonal(T)
     ev = np.linalg.eigvalsh(A)
     lo, hi = gershgorin_bounds(T.diag, T.offdiag)
     slack = _allowed_error(A, 0.0)  # rounding in eigvalsh and in the bounds

@@ -12,6 +12,7 @@ from lagprod.ensemble import (
 )
 from lagprod.scaling import single_scaling
 from lagprod.variates import chi, split_stream
+from oracles import dense_bidiagonal, dense_tridiagonal
 
 
 def test_params_validation():
@@ -59,8 +60,8 @@ def test_laguerre_n1_is_scalar_square():
 def test_laguerre_matches_dense_gram_oracle(n, kappa, beta):
     factor = sample_bidiagonal(EnsembleParams(n=n, kappa=kappa, beta=beta), split_stream(5, n))
     X = laguerre_matrix(factor)
-    B = factor.dense()
-    assert np.allclose(X.dense(), B.T @ B / beta, atol=1e-12)
+    B = dense_bidiagonal(factor)
+    assert np.allclose(dense_tridiagonal(X), B.T @ B / beta, atol=1e-12)
 
 
 def test_laguerre_dense_oracle_many_instances():
@@ -71,8 +72,8 @@ def test_laguerre_dense_oracle_many_instances():
             split_stream(888, k),
         )
         X = laguerre_matrix(factor)
-        B = factor.dense()
-        assert np.abs(X.dense() - B.T @ B / factor.beta).max() < 1e-12 * max(1.0, X.diag.max())
+        B = dense_bidiagonal(factor)
+        assert np.abs(dense_tridiagonal(X) - B.T @ B / factor.beta).max() < 1e-12 * max(1.0, X.diag.max())
 
 
 def test_laguerre_diagonal_means():

@@ -5,8 +5,9 @@ import pytest
 import scipy.linalg
 
 from lagprod.ensemble import BidiagonalFactor, EnsembleParams, SymmetricTridiagonal, laguerre_matrix, sample_bidiagonal
-from lagprod.product import dense_product_eigs, product_similarity
+from lagprod.product import product_similarity
 from lagprod.variates import split_stream
+from oracles import dense_bidiagonal, dense_product_eigs, dense_tridiagonal
 
 
 def _sampled_pair(n, p, q, beta, seed):
@@ -22,7 +23,7 @@ def test_identity_factor_collapses_to_single_matrix():
     S = product_similarity(B_q, identity)
     X_q = laguerre_matrix(B_q)
     ev_S = np.sort(np.linalg.eigvalsh(S.dense()))
-    ev_q = np.sort(np.linalg.eigvalsh(X_q.dense()))
+    ev_q = np.sort(np.linalg.eigvalsh(dense_tridiagonal(X_q)))
     assert np.abs(ev_S - ev_q).max() < 1e-10 * max(1.0, ev_q.max())
 
 
@@ -46,8 +47,8 @@ def test_similarity_equals_banded_triple_product():
     B_p, B_q = _sampled_pair(7, 9, 12, 0.5, 13)
     X_p = laguerre_matrix(B_p)
     S = product_similarity(B_q, X_p)
-    Bq = B_q.dense()
-    dense = Bq @ X_p.dense() @ Bq.T / B_q.beta
+    Bq = dense_bidiagonal(B_q)
+    dense = Bq @ dense_tridiagonal(X_p) @ Bq.T / B_q.beta
     assert np.allclose(S.dense(), dense, atol=1e-12 * max(1.0, np.abs(dense).max()))
 
 
@@ -77,7 +78,7 @@ def test_dense_oracle_identity_and_diagonal():
 def test_dense_oracle_real_spectrum_and_size_limit():
     B_p, B_q = _sampled_pair(5, 7, 8, 1.0, 14)
     X_p, X_q = laguerre_matrix(B_p), laguerre_matrix(B_q)
-    w = scipy.linalg.eig(X_p.dense() @ X_q.dense(), right=False)
+    w = scipy.linalg.eig(dense_tridiagonal(X_p) @ dense_tridiagonal(X_q), right=False)
     assert np.abs(w.imag).max() < 1e-8
     big = SymmetricTridiagonal(diag=np.ones(65), offdiag=np.zeros(64))
     with pytest.raises(ValueError):

@@ -6,7 +6,8 @@ import scipy.special
 import scipy.stats
 
 from lagprod.harness import ExperimentConfig, sweep
-from lagprod.stats import SampleBatch, ecdf_eval, kolmogorov_sf, ks_two_sample, moments
+from lagprod.stats import SampleBatch, kolmogorov_sf, ks_two_sample, moments
+from oracles import ecdf_eval
 
 
 def _batch(values, order=None):
