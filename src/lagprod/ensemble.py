@@ -67,18 +67,6 @@ class SymmetricTridiagonal:
         return len(self.diag)
 
 
-@dataclass(frozen=True)
-class PotentialPath:
-    """Cumulative potential path of one sampled matrix on the grid k/m."""
-
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if len(self.grid) != len(self.values):
-            raise ValueError("grid and values must have equal length")
-
-
 def sample_bidiagonal(params: EnsembleParams, stream: np.random.Generator) -> BidiagonalFactor:
     """Draw one bidiagonal factor from its own generator.
 
@@ -106,10 +94,10 @@ def laguerre_matrix(factor: BidiagonalFactor) -> SymmetricTridiagonal:
     return SymmetricTridiagonal(diag=diag / beta, offdiag=off / beta)
 
 
-def potential_path(factor: BidiagonalFactor, scaling) -> PotentialPath:
+def potential_path(factor: BidiagonalFactor, scaling) -> np.ndarray:
     """Realized potential path y_1(x) + y_2(x) of one sampled matrix.
 
-    At grid points x_k = k/m (k = 1..n-1) the path is the cumulative sum of
+    Returns its values at x_k = k/m (k = 1..n-1), the cumulative sum of
     the diagonal deviations ``(n + i) - beta^{-1}(chi^2 + chi~^2)`` plus the
     off-diagonal deviations ``2(sqrt(n i) - beta^{-1} chi chi~)``, scaled by
     m/sqrt(n i).  Its empirical mean approaches x^2/2 as n grows; the noise
@@ -126,6 +114,4 @@ def potential_path(factor: BidiagonalFactor, scaling) -> PotentialPath:
     n, i, beta = factor.n, factor.kappa, factor.beta
     X = laguerre_matrix(factor)
     terms = scaling.mu - (X.diag[:-1] + 2.0 * X.offdiag)
-    values = np.cumsum(terms) * (scaling.m / np.sqrt(float(n) * float(i)))
-    grid = np.arange(1, n) / scaling.m
-    return PotentialPath(grid=grid, values=values)
+    return np.cumsum(terms) * (scaling.m / np.sqrt(float(n) * float(i)))

@@ -10,17 +10,21 @@ are ``product``, ``single``, ``tw-reference`` and the internal
 Replicate r of a run with master seed s draws only from the streams
 ``split_stream(s, r)`` (product mode: ``(s, 2r)`` and ``(s, 2r+1)``, one per
 factor), so the set of sample values is independent of worker count and
-scheduling; outputs are byte-identical for any --workers value.  No more
-worker processes are started than there are replicates, and a single
-worker runs in-process.
+scheduling; outputs are byte-identical for any --workers value.  The
+worker count is capped at the replicate count; one worker runs in-process.
 
-A process keeps at most one pool.  Its workers are forked at the first
-parallel sweep of a given worker count and serve every later sweep at that
-count, each worker taking one contiguous chunk of the replicates; a sweep
-at another count terminates them and forks new ones.  Forked workers keep
-the module state (and the open files) of the process as of that fork, so a
-monkeypatch applied later reaches only ``workers=1`` sweeps.  The pool is
-terminated at interpreter exit.
+At w >= 2 workers the process keeps w - 1 helper processes, each joined to
+it by a pipe, forked at the first parallel sweep of that count and reused
+by every later one; a sweep at another count terminates them and forks new
+ones.  A sweep cuts the replicates into w chunks of ceil(reps/w): the
+caller runs chunk 0 itself, helper k is sent chunk k as ``(fn, start,
+stop)``, and the caller then receives the helpers' rows in order.  Any
+failure (an exception in any chunk, or a helper that dies) terminates and
+joins every helper before it is raised, so no later sweep reads a stale
+chunk.  Helpers keep the module state (and the open files) of the process
+as of their fork, so a monkeypatch applied later reaches ``workers=1``
+sweeps and the caller's chunk, not the helpers' chunks.  Helpers exit with
+the process, at interpreter exit or when it is killed.
 
 Persistence formats:
 
@@ -42,6 +46,7 @@ import math
 import multiprocessing
 import os
 import time
+import traceback
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, partial
 from pathlib import Path
@@ -194,11 +199,34 @@ def _tw_replicate(config: ExperimentConfig, r: int) -> float:
 
 
 def _path_replicate(config: ExperimentConfig, r: int) -> np.ndarray:
-    return potential_path(_factor(config, config.p, r), config.constants).values
+    return potential_path(_factor(config, config.p, r), config.constants)
 
 
-# the process's one live pool, keyed on (pid, workers); see the module docstring
+# the process's helpers, ((pid, workers), [(process, pipe end), ...]); see the module docstring
 _pool = None
+
+
+def _serve(conn, ours) -> None:
+    """Helper loop: answer each ``(fn, start, stop)`` with its rows, or (exception, traceback)."""
+    ours.close()  # so that the caller's death reads as end-of-file here
+    while True:
+        try:
+            fn, start, stop = conn.recv()
+        except EOFError:
+            return
+        try:
+            conn.send([fn(r) for r in range(start, stop)])
+        except Exception as exc:
+            conn.send((exc, traceback.format_exc()))
+
+
+def _start_helper():
+    ctx = multiprocessing.get_context()
+    ours, theirs = ctx.Pipe()
+    proc = ctx.Process(target=_serve, args=(theirs, ours), daemon=True)
+    proc.start()
+    theirs.close()  # so that the helper's death reads as end-of-file here
+    return proc, ours
 
 
 def _pmap(fn, count: int, workers: int) -> list:
@@ -209,25 +237,41 @@ def _pmap(fn, count: int, workers: int) -> list:
     key = (os.getpid(), workers)
     if _pool is None or _pool[0] != key:
         _drop_pool()
-        _pool = key, multiprocessing.get_context().Pool(workers)
+        _pool = key, [_start_helper() for _ in range(workers - 1)]
+    size = -(-count // workers)
     try:
-        # one chunk per worker, so fn is pickled once per worker, not per replicate
-        return _pool[1].map(fn, range(count), chunksize=-(-count // workers))
+        # one chunk per process, so fn is pickled once per helper, not per replicate
+        for k, (_, conn) in enumerate(_pool[1], start=1):
+            conn.send((fn, k * size, min(count, (k + 1) * size)))
+        rows = [fn(r) for r in range(size)]
+        for proc, conn in _pool[1]:
+            try:
+                part = conn.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"helper process {proc.pid} exited mid-sweep "
+                                   f"with code {proc.exitcode}") from None
+            if isinstance(part, tuple):
+                raise part[0] from RuntimeError(f"in helper process {proc.pid}:\n{part[1]}")
+            rows += part
+        return rows
     except BaseException:
-        _drop_pool()  # a failed sweep leaves no work behind in the workers
+        _drop_pool()  # a failed sweep leaves no work behind in the helpers
         raise
 
 
 def _drop_pool() -> None:
-    """Terminate and join this process's pool; a forked child only forgets its parent's."""
+    """Terminate and join this process's helpers; a forked child only forgets its parent's."""
     global _pool
     if _pool is not None and _pool[0][0] == os.getpid():
-        _pool[1].terminate()
-        _pool[1].join()
+        for proc, conn in _pool[1]:
+            proc.terminate()
+            proc.join()
+            conn.close()
     _pool = None
 
 
-atexit.register(_drop_pool)  # else the pool is collected still running, a ResourceWarning
+atexit.register(_drop_pool)  # join the helpers and close their pipes
 
 
 def sweep(config: ExperimentConfig) -> np.ndarray:
@@ -257,13 +301,15 @@ def _parse_value(s: str):
     return s
 
 
-def write_batch_csv(path: Path, label: str, params: dict, rows: np.ndarray) -> None:
-    """Write replicate-ordered rows with a ``# key=value`` metadata block."""
+def write_batch_csv(path: Path, label: str, params: dict, rows: np.ndarray) -> str:
+    """Write replicate-ordered rows with a ``# key=value`` metadata block; returns their sha256."""
     lines = [f"# label={label}"]
     lines += [f"# {k}={_format_value(params[k])}" for k in sorted(params)]
     lines.append("replicate,value")
     lines += [f"{r},{repr(float(v))}" for r, v in enumerate(rows)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def read_batch_csv(path: Path | str) -> SampleBatch:
@@ -305,10 +351,6 @@ def _batch_from_rows(label: str, params: dict, rows: np.ndarray, source: str) ->
         raise ConfigError(f"{source}: every replicate is missing")
     params["failures"] = int((~ok).sum())
     return SampleBatch(label=label, params=params, values=rows[ok], order=rows[ok])
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -409,7 +451,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
 
     config.out.mkdir(parents=True, exist_ok=True)
     batch_path = config.out / f"{config.mode}-samples.csv"
-    write_batch_csv(batch_path, config.mode, params, rows)
+    batch_sha256 = write_batch_csv(batch_path, config.mode, params, rows)
 
     batch = _batch_from_rows(config.mode, params, rows, str(batch_path))
     mom = moments(batch)
@@ -426,7 +468,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         },
         failures=failures,
         batch_path=str(batch_path),
-        batch_sha256=_sha256(batch_path),
+        batch_sha256=batch_sha256,
         report_path=str(config.out / f"{config.mode}-report.json"),
         wall_seconds=wall,
         per_replicate_seconds=wall / config.reps,

@@ -10,6 +10,7 @@ from lagprod.ensemble import (
     potential_path,
     sample_bidiagonal,
 )
+from lagprod.harness import ExperimentConfig, mean_potential_path
 from lagprod.scaling import single_scaling
 from lagprod.variates import chi, split_stream
 from oracles import dense_bidiagonal, dense_tridiagonal
@@ -142,9 +143,10 @@ def test_potential_path_starts_at_zero_and_first_increment():
     path = potential_path(factor, s)
     X = laguerre_matrix(factor)
     first = (s.mu - (X.diag[0] + 2.0 * X.offdiag[0])) * s.m / np.sqrt(float(n) * i)
-    assert path.values[0] == pytest.approx(first, rel=1e-15)
-    assert path.grid[0] == pytest.approx(1.0 / s.m, rel=1e-15)
-    assert np.all(np.diff(path.grid) > 0)
+    assert path[0] == pytest.approx(first, rel=1e-15)
+    grid = mean_potential_path(ExperimentConfig(mode="potential", n=n, p=i, beta=beta, reps=1, seed=4))["x"]
+    assert grid[0] == pytest.approx(1.0 / s.m, rel=1e-15)
+    assert np.all(np.diff(grid) > 0)
 
 
 def test_potential_path_parameter_mismatch():
@@ -170,7 +172,7 @@ def test_potential_path_mean_matches_deterministic_oracle():
     acc = np.zeros(n - 1)
     for r in range(M):
         factor = sample_bidiagonal(EnsembleParams(n=n, kappa=n, beta=beta), split_stream(606, r))
-        acc += potential_path(factor, s).values
+        acc += potential_path(factor, s)
     x, det = _deterministic_path(n, n, beta)
     mask = x <= 3.0
     # limit-process variance (4/beta) x gives the per-point scale of the noise
@@ -189,7 +191,7 @@ def test_potential_path_noise_scale_shrinks_with_beta():
         acc = np.zeros(n - 1)
         for r in range(M):
             factor = sample_bidiagonal(EnsembleParams(n=n, kappa=n, beta=beta), split_stream(515, r))
-            acc += potential_path(factor, s).values
+            acc += potential_path(factor, s)
         x, det = _deterministic_path(n, n, beta)
         mask = x <= 3.0
         sups[beta] = np.abs(acc[mask] / M - det[mask]).max()

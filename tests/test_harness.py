@@ -1,6 +1,11 @@
 import json
 import math
 import os
+import signal
+import subprocess
+import sys
+import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +33,10 @@ from lagprod.harness import (
 from lagprod.product import product_similarity
 from lagprod.scaling import coupled_scaling, product_statistic
 from lagprod.variates import split_stream
+
+# for subprocesses that import the package from this checkout
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
 
 
 def _tw_config(out, workers=1, reps=16):
@@ -239,29 +248,121 @@ def test_worker_count_change_replaces_pool(tmp_path):
     for w in (2, 3, 2):
         config.workers = w
         assert sweep(config).tobytes() == expected.tobytes()
-        key, pool = harness._pool
+        key, helpers = harness._pool
         assert key == (os.getpid(), w)
-        pools.append(pool)
+        assert len(helpers) == w - 1
+        pools.append(helpers)
     assert pools[0] is not pools[1] is not pools[2]
     for old in pools[:2]:
-        assert not any(worker.is_alive() for worker in old._pool)
-    assert all(worker.is_alive() for worker in pools[2]._pool)
+        assert not any(proc.is_alive() for proc, _ in old)
+    assert all(proc.is_alive() for proc, _ in pools[2])
 
 
-def _fails_at_three(r):
-    if r == 3:
-        raise ValueError("replicate 3")
+def _pid(r):
+    return os.getpid()
+
+
+def test_caller_runs_first_chunk_and_one_helper_the_rest():
+    rows = harness._pmap(_pid, 8, 2)
+    assert rows[:4] == [os.getpid()] * 4
+    assert rows[4] != os.getpid() and rows[4:] == [rows[4]] * 4
+    assert harness._pmap(_pid, 8, 2) == rows
+
+
+def _fails_at(bad, r):
+    if r == bad:
+        raise ValueError(f"replicate {r}")
     return r
 
 
-def test_failed_parallel_sweep_terminates_pool():
+def _assert_failure_drops_helpers(bad):
     assert harness._pmap(abs, 8, 2) == list(range(8))
-    _, pool = harness._pool
-    with pytest.raises(ValueError, match="replicate 3"):
-        harness._pmap(_fails_at_three, 8, 2)
+    _, helpers = harness._pool
+    with pytest.raises(ValueError, match=f"replicate {bad}"):
+        harness._pmap(partial(_fails_at, bad), 8, 2)
     assert harness._pool is None
-    assert not any(worker.is_alive() for worker in pool._pool)
+    assert not any(proc.is_alive() for proc, _ in helpers)
     assert harness._pmap(abs, 8, 2) == list(range(8))
+
+
+def test_failed_parallel_sweep_terminates_pool():
+    _assert_failure_drops_helpers(1)  # in the caller's chunk
+
+
+def test_failed_helper_chunk_terminates_pool():
+    _assert_failure_drops_helpers(6)  # in the helper's chunk
+
+
+_DIES_AT_FIVE = """
+import os
+from lagprod import harness
+
+def dies_at_five(r):
+    if r == 5:
+        os._exit(3)
+    return r
+
+assert harness._pmap(abs, 8, 2) == list(range(8))
+_, helpers = harness._pool
+try:
+    harness._pmap(dies_at_five, 8, 2)
+except RuntimeError as exc:
+    print(exc)
+assert harness._pool is None
+assert not any(proc.is_alive() for proc, _ in helpers)
+assert harness._pmap(abs, 8, 2) == list(range(8))
+"""
+
+
+def test_dead_helper_fails_the_sweep_instead_of_hanging():
+    # a subprocess, so that a sweep waiting forever fails this test instead of hanging the suite
+    proc = subprocess.run([sys.executable, "-c", _DIES_AT_FIVE], env=ENV, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "exited mid-sweep with code 3" in proc.stdout
+
+
+_PRINTS_HELPERS = """
+import time
+from lagprod import harness
+
+assert harness._pmap(abs, 8, 3) == list(range(8))
+print(*(proc.pid for proc, _ in harness._pool[1]), flush=True)
+time.sleep(60)
+"""
+
+
+def _running(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+def test_helpers_exit_when_their_caller_is_killed():
+    caller = subprocess.Popen([sys.executable, "-c", _PRINTS_HELPERS], env=ENV, stdout=subprocess.PIPE, text=True)
+    helpers = [int(pid) for pid in caller.stdout.readline().split()]
+    caller.kill()
+    caller.wait(timeout=30)
+    caller.stdout.close()
+    assert len(helpers) == 2
+    deadline = time.monotonic() + 30
+    while any(map(_running, helpers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    stuck = [pid for pid in helpers if _running(pid)]
+    for pid in stuck:
+        os.kill(pid, signal.SIGKILL)
+    assert not stuck
+
+
+def test_parallel_cli_sweep_leaks_nothing_at_exit(tmp_path):
+    args = [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "lagprod.cli", "sample-tw",
+            "--reps", "16", "--workers", "2", "--mesh", "0.1", "--cutoff", "8", "--out", str(tmp_path)]
+    proc = subprocess.run(args, env=ENV, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "ResourceWarning" not in proc.stderr
 
 
 def test_degenerate_draws_do_not_abort_sweep(tmp_path):
