@@ -49,6 +49,8 @@ class AiryDiscretization:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if not 0 < self.h <= 0.1:
             raise ValueError(f"mesh step must lie in (0, 0.1], got {self.h}")
+        if not math.isfinite(self.L):
+            raise ValueError(f"domain cutoff must be finite, got {self.L}")
         if self.L < 8:
             raise ValueError(f"domain cutoff must be >= 8, got {self.L}")
         if self.N < 80:

@@ -45,16 +45,16 @@ def _common_options(fn):
 def _run(mode: str, config_path, flags: dict) -> None:
     try:
         config = resolve_config(mode, flags, config_path)
-        report = run_experiment(config)
+        report_path, report = run_experiment(config)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
-    click.echo(f"wrote {report.batch_path}")
-    click.echo(f"wrote {report.report_path}")
-    m = report.moments
+    click.echo(f"wrote {report['artifacts']['samples_csv']['path']}")
+    click.echo(f"wrote {report_path}")
+    m = report["moments"]
     click.echo(
-        f"{mode}: M={config.reps} failures={report.failures} "
-        f"mean={m['mean']:.6g} variance={m['variance']:.6g} wall={report.wall_seconds:.2f}s"
+        f"{mode}: M={config.reps} failures={report['failures']} "
+        f"mean={m['mean']:.6g} variance={m['variance']:.6g} wall={report['timing']['wall_seconds']:.2f}s"
     )
 
 
@@ -112,13 +112,13 @@ def sample_tw(beta, reps, mesh, cutoff, tol, seed, out, workers, config_path):
 def compare(batch_a, batch_b, out, assert_d):
     """Two-sample KS comparison of two persisted sample batches."""
     try:
-        ks, payload = compare_batches(batch_a, batch_b, out)
+        ks = compare_batches(batch_a, batch_b, out)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
-    click.echo(f"D = {ks.D:.6g}  (n_a={ks.n_a}, n_b={ks.n_b}, p = {ks.p_value:.4g})")
-    if assert_d is not None and ks.D > assert_d:
-        click.echo(f"threshold breach: D = {ks.D:.6g} > {assert_d:.6g}", err=True)
+    click.echo(f"D = {ks['D']:.6g}  (n_a={ks['n_a']}, n_b={ks['n_b']}, p = {ks['p_value']:.4g})")
+    if assert_d is not None and ks["D"] > assert_d:
+        click.echo(f"threshold breach: D = {ks['D']:.6g} > {assert_d:.6g}", err=True)
         sys.exit(3)
 
 

@@ -35,6 +35,8 @@ Persistence formats:
   non-finite solve) are recorded as ``nan``, never filled.
 * reports: JSON with fixed keys, including the RNG ``tape`` version,
   referencing artifact paths together with their sha256 checksums.
+  :func:`run_experiment` returns the report dict it writes, and
+  :func:`compare_batches` the KS payload.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import multiprocessing
 import os
 import time
 import traceback
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cached_property, partial
 from pathlib import Path
 
@@ -58,7 +60,7 @@ from .eig import EigConfig, banded_largest_eig, tridiag_extreme_eig
 from .ensemble import EnsembleParams, laguerre_matrix, potential_path, sample_bidiagonal
 from .product import product_similarity
 from .scaling import coupled_scaling, closed_form_Cn, closed_form_cn, product_statistic, single_scaling
-from .stats import SampleBatch, KSReport, ks_two_sample, moments
+from .stats import SampleBatch, ks_two_sample, moments
 from .variates import TAPE, split_stream
 
 MODES = ("product", "single", "tw-reference", "potential")
@@ -341,16 +343,17 @@ def read_batch_csv(path: Path | str) -> SampleBatch:
             raise ConfigError(f"{path}:{lineno}: bad row {line!r}") from exc
     if label is None or not rows:
         raise ConfigError(f"{path}: not a sample CSV (missing label or rows)")
-    return _batch_from_rows(label, params, np.array(rows), str(path))
+    values = _finite_rows(np.array(rows), path)
+    params["failures"] = len(rows) - values.size
+    return SampleBatch(label=label, params=params, values=values)
 
 
-def _batch_from_rows(label: str, params: dict, rows: np.ndarray, source: str) -> SampleBatch:
-    """Batch of the finite rows in replicate order; sets ``params["failures"]``."""
-    ok = ~np.isnan(rows)
-    if not ok.any():
+def _finite_rows(rows: np.ndarray, source: Path) -> np.ndarray:
+    """The rows that are not NaN (failed replicates), in replicate order; at least one must be."""
+    finite = rows[~np.isnan(rows)]
+    if not finite.size:
         raise ConfigError(f"{source}: every replicate is missing")
-    params["failures"] = int((~ok).sum())
-    return SampleBatch(label=label, params=params, values=rows[ok], order=rows[ok])
+    return finite
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -358,36 +361,6 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 # --- experiment pipeline ----------------------------------------------------
-
-
-@dataclass
-class RunReport:
-    config: dict
-    constants: dict | None
-    moments: dict
-    failures: int
-    batch_path: str
-    batch_sha256: str
-    report_path: str
-    wall_seconds: float
-    per_replicate_seconds: float
-    sample_batch: SampleBatch = field(repr=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "tape": TAPE,
-            "config": self.config,
-            "constants": self.constants,
-            "moments": self.moments,
-            "failures": self.failures,
-            "artifacts": {
-                "samples_csv": {"path": self.batch_path, "sha256": self.batch_sha256}
-            },
-            "timing": {
-                "wall_seconds": self.wall_seconds,
-                "per_replicate_seconds": self.per_replicate_seconds,
-            },
-        }
 
 
 def scaling_report(n: int, p: int, q: int, beta: float) -> dict:
@@ -442,8 +415,11 @@ def _sample_params(config: ExperimentConfig) -> tuple[dict, dict | None]:
     return params, None
 
 
-def run_experiment(config: ExperimentConfig) -> RunReport:
-    """Run one Monte Carlo sweep and persist the sample batch plus a report."""
+def run_experiment(config: ExperimentConfig) -> tuple[Path, dict]:
+    """Run one Monte Carlo sweep, persist its sample batch and write its report.
+
+    Returns the report's path and the report dict written there.
+    """
     t0 = time.perf_counter()
     rows = sweep(config)
     params, constants = _sample_params(config)
@@ -453,41 +429,27 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     batch_path = config.out / f"{config.mode}-samples.csv"
     batch_sha256 = write_batch_csv(batch_path, config.mode, params, rows)
 
-    batch = _batch_from_rows(config.mode, params, rows, str(batch_path))
-    mom = moments(batch)
+    mom = moments(_finite_rows(rows, batch_path))
     wall = time.perf_counter() - t0
-    report = RunReport(
-        config=asdict(config) | {"out": str(config.out), "tol": config.eig_config().rel_tol},
-        constants=constants,
-        moments={
-            "mean": mom.mean,
-            "variance": mom.variance,
-            "skewness": mom.skewness,
-            "se_mean": mom.se_mean,
-            "se_variance": mom.se_variance,
-        },
-        failures=failures,
-        batch_path=str(batch_path),
-        batch_sha256=batch_sha256,
-        report_path=str(config.out / f"{config.mode}-report.json"),
-        wall_seconds=wall,
-        per_replicate_seconds=wall / config.reps,
-        sample_batch=batch,
-    )
-    write_json(Path(report.report_path), report.to_dict())
-    return report
+    report = {
+        "tape": TAPE,
+        "config": asdict(config) | {"out": str(config.out), "tol": config.eig_config().rel_tol},
+        "constants": constants,
+        "moments": mom,
+        "failures": failures,
+        "artifacts": {"samples_csv": {"path": str(batch_path), "sha256": batch_sha256}},
+        "timing": {"wall_seconds": wall, "per_replicate_seconds": wall / config.reps},
+    }
+    report_path = config.out / f"{config.mode}-report.json"
+    write_json(report_path, report)
+    return report_path, report
 
 
-def compare_batches(path_a: Path | str, path_b: Path | str, out: Path | str | None = None) -> tuple[KSReport, dict]:
-    """KS-compare two persisted batches; returns the report and its JSON payload."""
+def compare_batches(path_a: Path | str, path_b: Path | str, out: Path | str | None = None) -> dict:
+    """KS-compare two persisted batches; returns the JSON payload (written when ``out`` is given)."""
     a = read_batch_csv(path_a)
     b = read_batch_csv(path_b)
-    ks = ks_two_sample(a, b)
-    payload = {
-        "D": ks.D,
-        "p_value": ks.p_value,
-        "n_a": ks.n_a,
-        "n_b": ks.n_b,
+    payload = ks_two_sample(a.values, b.values) | {
         "batch_a": {"path": str(path_a), "label": a.label, "params": a.params},
         "batch_b": {"path": str(path_b), "label": b.label, "params": b.params},
     }
@@ -495,7 +457,7 @@ def compare_batches(path_a: Path | str, path_b: Path | str, out: Path | str | No
         out = Path(out)
         out.mkdir(parents=True, exist_ok=True)
         write_json(out / "ks-report.json", payload)
-    return ks, payload
+    return payload
 
 
 def mean_potential_path(config: ExperimentConfig) -> dict[str, np.ndarray]:

@@ -4,7 +4,6 @@ import numpy as np
 import scipy.linalg
 
 from lagprod.ensemble import BidiagonalFactor, SymmetricTridiagonal
-from lagprod.stats import SampleBatch
 
 DENSE_ORACLE_MAX_N = 64
 
@@ -42,6 +41,6 @@ def dense_product_eigs(X_p: SymmetricTridiagonal, X_q: SymmetricTridiagonal) -> 
     return np.sort(w.real)
 
 
-def ecdf_eval(batch: SampleBatch, x: float) -> float:
-    """Fraction of batch values <= x."""
-    return float(np.searchsorted(batch.values, x, side="right")) / batch.M
+def ecdf_eval(values: np.ndarray, x: float) -> float:
+    """Fraction of the values <= x."""
+    return float(np.count_nonzero(np.asarray(values) <= x)) / len(values)

@@ -16,10 +16,10 @@ import scipy.linalg
 from lagprod.airy import airy_tridiagonal
 from lagprod.eig import EigConfig, tridiag_extreme_eig
 from lagprod.ensemble import EnsembleParams, laguerre_matrix, sample_bidiagonal
-from lagprod.harness import ExperimentConfig, mean_potential_path, run_experiment, sweep
+from lagprod.harness import ExperimentConfig, mean_potential_path, read_batch_csv, run_experiment, sweep
 from lagprod.product import product_similarity
 from lagprod.scaling import closed_form_cn, coupled_scaling, single_scaling
-from lagprod.stats import SampleBatch, ks_two_sample
+from lagprod.stats import ks_two_sample
 from lagprod.variates import chi, split_stream
 from oracles import dense_product_eigs, dense_tridiagonal
 
@@ -32,7 +32,8 @@ TW2_M = 4000
 def tw_batch(beta, M, seed, **disc):
     """Replicates 0..M-1 of a ``tw-reference`` sweep (``disc``: mesh, cutoff), at two workers."""
     rows = sweep(ExperimentConfig(mode="tw-reference", beta=beta, reps=M, seed=seed, workers=2, **disc))
-    return SampleBatch(label="tw-reference", params={}, values=rows, order=rows)
+    assert not np.isnan(rows).any()
+    return rows
 
 
 @pytest.fixture(scope="module")
@@ -135,8 +136,8 @@ def test_criterion_4_single_matrix_edge_law(tmp_path, tw2_default_batch):
     config = ExperimentConfig(
         mode="single", n=400, p=400, beta=2.0, reps=1000, seed=202, out=tmp_path
     )
-    report = run_experiment(config)
-    D = ks_two_sample(report.sample_batch, tw2_default_batch).D
+    run_experiment(config)
+    D = ks_two_sample(read_batch_csv(tmp_path / "single-samples.csv").values, tw2_default_batch)["D"]
     _criterion(
         4,
         "single-matrix edge law: (n=p=400, beta=2, 1000 reps) vs 4000 TW_2 reference, KS D < 0.12",
@@ -153,13 +154,12 @@ def test_criterion_5_product_law_end_to_end(tmp_path):
     )
     sc = coupled_scaling(256, 256, 256, 1.0)
     assert sc.beta0 == pytest.approx(2.0, abs=1e-12)
-    report = run_experiment(config)
-    assert report.failures == 0
-    assert report.wall_seconds < 600  # throughput sanity on a single core
-    tw2 = tw_batch(2.0, 5000, 505)
-    tw1 = tw_batch(1.0, 5000, 505)
-    D2 = ks_two_sample(report.sample_batch, tw2).D
-    D1 = ks_two_sample(report.sample_batch, tw1).D
+    _, report = run_experiment(config)
+    assert report["failures"] == 0
+    assert report["timing"]["wall_seconds"] < 600  # throughput sanity on a single core
+    T = read_batch_csv(tmp_path / "product-samples.csv").values
+    D2 = ks_two_sample(T, tw_batch(2.0, 5000, 505))["D"]
+    D1 = ks_two_sample(T, tw_batch(1.0, 5000, 505))["D"]
     _criterion(
         5,
         "product statistic (n=p=q=256, beta=1 so beta0=2, 1000 reps): "
@@ -183,10 +183,10 @@ def test_criterion_6_airy_self_consistency(tw2_default_batch):
     ground_gap = abs(lam_01 - limit)
 
     mesh_coarse = tw_batch(2.0, TW2_M, TW2_SEED, mesh=0.04)
-    mesh_gap = abs(mesh_coarse.values.mean() - tw2_default_batch.values.mean())
+    mesh_gap = abs(mesh_coarse.mean() - tw2_default_batch.mean())
     near = tw_batch(2.0, TW2_M, TW2_SEED, cutoff=10.0)
     far = tw_batch(2.0, TW2_M, TW2_SEED, cutoff=14.0)
-    cutoff_gap = abs(near.values.mean() - far.values.mean())
+    cutoff_gap = abs(near.mean() - far.mean())
     _criterion(
         6,
         "stochastic-Airy self-consistency: noiseless ground state within 5e-3 of "

@@ -32,6 +32,7 @@ from lagprod.harness import (
 )
 from lagprod.product import product_similarity
 from lagprod.scaling import coupled_scaling, product_statistic
+from lagprod.stats import moments
 from lagprod.variates import split_stream
 
 # for subprocesses that import the package from this checkout
@@ -50,7 +51,7 @@ def test_composition_consistency_single_replicate(tmp_path):
     # M = 1 product run equals the hand-composed module pipeline
     n = 4
     config = ExperimentConfig(mode="product", n=n, p=n, q=n, beta=2.0, reps=1, seed=77, out=tmp_path)
-    report = run_experiment(config)
+    _, report = run_experiment(config)
 
     seed = 77
     stream_p, stream_q = split_stream(seed, 0), split_stream(seed, 1)
@@ -59,7 +60,7 @@ def test_composition_consistency_single_replicate(tmp_path):
     S = product_similarity(B_q, laguerre_matrix(B_p))
     lam = banded_largest_eig(S, EigConfig())
     expected = product_statistic(lam, coupled_scaling(n, n, n, 2.0))
-    assert report.sample_batch.values[0] == expected
+    assert read_batch_csv(report["artifacts"]["samples_csv"]["path"]).values[0] == expected
 
 
 _MODE_KWARGS = {
@@ -80,7 +81,7 @@ def test_worker_count_independence(tmp_path, mode):
             path = tmp_path / f"w{w}-potential-path.csv"
             write_potential_csv(path, mean_potential_path(config))
         else:
-            path = run_experiment(config).batch_path
+            path = run_experiment(config)[1]["artifacts"]["samples_csv"]["path"]
         blobs.append(Path(path).read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
 
@@ -119,8 +120,7 @@ def test_batch_csv_round_trip(tmp_path):
         assert batch.params[key] == value
         assert type(batch.params[key]) is type(value)
     assert batch.params["failures"] == 1
-    assert batch.order.tolist() == [1.0, math.pi, -1e-300]
-    assert batch.values.tolist() == sorted(batch.order.tolist())
+    assert batch.values.tolist() == [1.0, math.pi, -1e-300]  # replicate order, NaN row dropped
 
 
 def test_read_batch_csv_reports_bad_lines(tmp_path):
@@ -133,11 +133,16 @@ def test_read_batch_csv_reports_bad_lines(tmp_path):
 
 def test_compare_self_is_zero(tmp_path):
     config = _tw_config(tmp_path)
-    report = run_experiment(config)
-    ks, payload = compare_batches(report.batch_path, report.batch_path, tmp_path)
-    assert ks.D == 0.0
-    assert (tmp_path / "ks-report.json").exists()
+    run_experiment(config)
+    csv = tmp_path / "tw-reference-samples.csv"
+    payload = compare_batches(csv, csv, tmp_path)
+    assert payload["D"] == 0.0
+    assert payload["p_value"] == 1.0
+    assert payload["n_a"] == payload["n_b"] == 16
     assert payload["batch_a"]["params"]["beta"] == 2.0
+    written = json.loads((tmp_path / "ks-report.json").read_text())
+    assert written.keys() == {"D", "p_value", "n_a", "n_b", "batch_a", "batch_b"}
+    assert written == payload
 
 
 def test_config_file_precedence_and_validation(tmp_path):
@@ -173,6 +178,8 @@ def test_config_file_precedence_and_validation(tmp_path):
         dict(mode="product", n=4, p=5, q=6, tol=0.5),
         dict(mode="product", n=4, p=5, q=6, seed=2**64),
         dict(mode="tw-reference", reps=0),
+        dict(mode="tw-reference", cutoff=math.inf),
+        dict(mode="tw-reference", cutoff=math.nan),
     ],
 )
 def test_config_validation_errors(kwargs):
@@ -192,15 +199,15 @@ def test_failed_replicates_recorded_not_filled(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "banded_largest_eig", flaky)
     config = ExperimentConfig(mode="product", n=4, p=4, q=4, beta=1.0, reps=9, seed=5, out=tmp_path)
-    report = run_experiment(config)
-    assert report.failures == 3
-    assert report.sample_batch.M == 6
+    _, report = run_experiment(config)
+    assert report["failures"] == 3
     text = (tmp_path / "product-samples.csv").read_text()
     assert text.count(",nan") == 3
-    # the in-memory batch is the one the CSV reads back as
+    # the report's moments are those of the finite rows the CSV reads back as
     reread = read_batch_csv(tmp_path / "product-samples.csv")
-    assert reread.params == report.sample_batch.params
-    assert reread.order.tolist() == report.sample_batch.order.tolist()
+    assert reread.params["failures"] == 3
+    assert reread.values.size == 6
+    assert report["moments"] == moments(reread.values)
 
 
 def test_all_failed_replicates_raise_config_error(tmp_path, monkeypatch):
@@ -365,19 +372,34 @@ def test_parallel_cli_sweep_leaks_nothing_at_exit(tmp_path):
     assert "ResourceWarning" not in proc.stderr
 
 
+def test_cli_import_loads_no_scipy_stats_or_special():
+    # both cost CLI start-up time; the code that needs scipy.special imports it on first use
+    code = "import sys, lagprod.cli; print(*(m for m in ('scipy.stats', 'scipy.special') if m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
+
+
 def test_degenerate_draws_do_not_abort_sweep(tmp_path):
     # at beta = 0.01 a few percent of the chi draws underflow to exactly 0,
     # which makes B_q singular in some replicates
     config = ExperimentConfig(mode="product", n=8, p=8, q=8, beta=0.01, reps=200, seed=3, out=tmp_path)
-    report = run_experiment(config)
-    assert report.failures == 0
-    assert report.sample_batch.M == 200
-    assert np.all(np.isfinite(report.sample_batch.order))
+    _, report = run_experiment(config)
+    assert report["failures"] == 0
+    values = read_batch_csv(tmp_path / "product-samples.csv").values
+    assert values.size == 200
+    assert np.all(np.isfinite(values))
 
 
 def test_run_report_json_checksums(tmp_path):
-    report = run_experiment(_tw_config(tmp_path))
-    payload = json.loads((tmp_path / "tw-reference-report.json").read_text())
+    report_path, report = run_experiment(_tw_config(tmp_path))
+    assert report_path == tmp_path / "tw-reference-report.json"
+    payload = json.loads(report_path.read_text())
+    assert payload.keys() == {"tape", "config", "constants", "failures", "moments", "artifacts", "timing"}
+    assert payload["moments"].keys() == {"mean", "variance", "skewness", "se_mean", "se_variance"}
+    assert payload["artifacts"].keys() == {"samples_csv"}
+    assert payload["artifacts"]["samples_csv"].keys() == {"path", "sha256"}
+    assert payload["timing"].keys() == {"wall_seconds", "per_replicate_seconds"}
     art = payload["artifacts"]["samples_csv"]
     import hashlib
 
@@ -386,12 +408,12 @@ def test_run_report_json_checksums(tmp_path):
     assert payload["failures"] == 0
     assert payload["tape"] == 2
     assert "# tape=2" in (tmp_path / "tw-reference-samples.csv").read_text().splitlines()
-    assert payload["moments"]["mean"] == report.moments["mean"]
+    assert payload == report  # the report returned is the one written
 
 
 def test_single_mode_statistic(tmp_path):
     config = ExperimentConfig(mode="single", n=8, p=10, beta=2.0, reps=4, seed=21, out=tmp_path)
-    report = run_experiment(config)
+    _, report = run_experiment(config)
     from lagprod.eig import tridiag_extreme_eig
     from lagprod.scaling import single_scaling
 
@@ -399,7 +421,7 @@ def test_single_mode_statistic(tmp_path):
     stream = split_stream(21, 2)
     B = sample_bidiagonal(EnsembleParams(n=8, kappa=10, beta=2.0), stream)
     lam = tridiag_extreme_eig(laguerre_matrix(B), "largest")
-    assert report.sample_batch.order[2] == (lam - s.mu) / s.sigma
+    assert read_batch_csv(report["artifacts"]["samples_csv"]["path"]).values[2] == (lam - s.mu) / s.sigma
 
 
 def test_mean_potential_path_shapes_and_reference():

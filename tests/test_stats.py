@@ -6,33 +6,33 @@ import scipy.special
 import scipy.stats
 
 from lagprod.harness import ExperimentConfig, sweep
-from lagprod.stats import SampleBatch, kolmogorov_sf, ks_two_sample, moments
+from lagprod.stats import SampleBatch, ks_two_sample, moments
 from oracles import ecdf_eval
 
 
-def _batch(values, order=None):
-    return SampleBatch(label="t", params={}, values=np.asarray(values, dtype=float), order=order)
+def _arr(values):
+    return np.asarray(values, dtype=float)
 
 
 def test_ks_identical_batches():
-    a = _batch([0.3, 1.1, 2.2, 2.2, 5.0])
-    assert ks_two_sample(a, _batch([0.3, 1.1, 2.2, 2.2, 5.0])).D == 0.0
+    a = _arr([0.3, 1.1, 2.2, 2.2, 5.0])
+    assert ks_two_sample(a, _arr([5.0, 2.2, 0.3, 2.2, 1.1]))["D"] == 0.0
 
 
 def test_ks_disjoint_supports():
-    assert ks_two_sample(_batch([1, 2, 3]), _batch([10, 20, 30])).D == 1.0
+    assert ks_two_sample(_arr([1, 2, 3]), _arr([10, 20, 30]))["D"] == 1.0
 
 
 def test_ks_hand_enumeration():
-    assert ks_two_sample(_batch([1, 2, 3]), _batch([1.5, 2.5, 3.5])).D == pytest.approx(1 / 3, rel=1e-15)
+    assert ks_two_sample(_arr([1, 2, 3]), _arr([1.5, 2.5, 3.5]))["D"] == pytest.approx(1 / 3, rel=1e-15)
 
 
 def test_ks_symmetry_exact():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        a = _batch(rng.normal(size=int(rng.integers(1, 50))))
-        b = _batch(rng.normal(0.5, size=int(rng.integers(1, 50))))
-        assert ks_two_sample(a, b).D == ks_two_sample(b, a).D
+        a = rng.normal(size=int(rng.integers(1, 50)))
+        b = rng.normal(0.5, size=int(rng.integers(1, 50)))
+        assert ks_two_sample(a, b)["D"] == ks_two_sample(b, a)["D"]
 
 
 def test_ks_matches_scipy_with_ties():
@@ -40,22 +40,26 @@ def test_ks_matches_scipy_with_ties():
     for _ in range(50):
         x = np.round(rng.normal(size=int(rng.integers(5, 60))), 1)
         y = np.round(rng.normal(0.3, size=int(rng.integers(5, 60))), 1)
-        mine = ks_two_sample(_batch(x), _batch(y))
+        mine = ks_two_sample(x, y)
         ref = scipy.stats.ks_2samp(x, y)
-        assert mine.D == pytest.approx(ref.statistic, abs=1e-13)
+        assert mine["D"] == pytest.approx(ref.statistic, abs=1e-13)
+        assert (mine["n_a"], mine["n_b"]) == (x.size, y.size)
 
 
 def test_kolmogorov_pvalue_against_scipy():
-    for lam in (0.3, 0.5, 1.0, 1.5, 2.5):
-        assert kolmogorov_sf(lam) == pytest.approx(float(scipy.special.kolmogorov(lam)), abs=1e-12)
-    r = ks_two_sample(_batch([1, 2, 3]), _batch([1.5, 2.5, 3.5]))
-    lam = r.D * math.sqrt(r.n_a * r.n_b / (r.n_a + r.n_b))
-    assert r.p_value == pytest.approx(kolmogorov_sf(lam), rel=1e-15)
-    assert 0.0 <= r.p_value <= 1.0
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        x = rng.normal(size=int(rng.integers(1, 200)))
+        y = rng.normal(0.3, size=int(rng.integers(1, 200)))
+        r = ks_two_sample(x, y)
+        lam = r["D"] * math.sqrt(r["n_a"] * r["n_b"] / (r["n_a"] + r["n_b"]))
+        assert r["p_value"] == float(scipy.special.kolmogorov(lam))
+        assert 0.0 <= r["p_value"] <= 1.0
+    assert ks_two_sample(_arr([1, 2, 3]), _arr([1, 2, 3]))["p_value"] == 1.0
 
 
 def test_ecdf_examples_and_range():
-    b = _batch([1, 2, 3])
+    b = _arr([1, 2, 3])
     assert ecdf_eval(b, 0.5) == 0.0
     assert ecdf_eval(b, 3.5) == 1.0
     assert ecdf_eval(b, 2.0) == pytest.approx(2 / 3, rel=1e-15)
@@ -66,45 +70,47 @@ def test_ecdf_examples_and_range():
 
 def test_ecdf_nondecreasing_and_right_continuous():
     rng = np.random.default_rng(9)
-    b = _batch(rng.normal(size=40))
-    grid = np.linspace(b.values[0] - 1, b.values[-1] + 1, 500)
+    b = np.sort(rng.normal(size=40))
+    grid = np.linspace(b[0] - 1, b[-1] + 1, 500)
     vals = [ecdf_eval(b, x) for x in grid]
     assert all(u <= v for u, v in zip(vals, vals[1:]))
-    for point in b.values[:5]:
+    for point in b[:5]:
         # jump happens at the sample point itself (right continuity)
         assert ecdf_eval(b, point) == ecdf_eval(b, point + 1e-12)
-        assert ecdf_eval(b, point) == pytest.approx(ecdf_eval(b, point - 1e-12) + 1 / b.M, abs=1e-12)
+        assert ecdf_eval(b, point) == pytest.approx(ecdf_eval(b, point - 1e-12) + 1 / b.size, abs=1e-12)
 
 
 def test_moments_examples():
-    assert moments(_batch([5, 5, 5, 5])).mean == 5.0
-    assert moments(_batch([5, 5, 5, 5])).variance == 0.0
-    two = moments(_batch([0, 1]))
-    assert two.mean == 0.5
-    assert two.variance == pytest.approx(0.5, rel=1e-15)  # unbiased
-    assert moments(_batch([-1, 0, 1])).skewness == 0.0
+    assert moments(_arr([5, 5, 5, 5]))["mean"] == 5.0
+    assert moments(_arr([5, 5, 5, 5]))["variance"] == 0.0
+    two = moments(_arr([0, 1]))
+    assert two["mean"] == 0.5
+    assert two["variance"] == pytest.approx(0.5, rel=1e-15)  # unbiased
+    assert moments(_arr([-1, 0, 1]))["skewness"] == 0.0
 
 
 def test_moments_standard_errors():
-    small = moments(_batch(np.arange(19.0)))
-    assert small.se_mean is None and small.se_variance is None
+    small = moments(np.arange(19.0))
+    assert small["se_mean"] is None and small["se_variance"] is None
 
     rng = np.random.default_rng(3)
     draws = rng.normal(size=1000)
-    m = moments(_batch(draws, order=draws))
+    m = moments(draws)
     # batch means over 20 blocks of iid normals: se_mean ~ 1/sqrt(1000)
-    assert m.se_mean == pytest.approx(1.0 / math.sqrt(1000.0), rel=0.35)
-    assert m.se_mean >= 0 and m.se_variance >= 0
+    assert m["se_mean"] == pytest.approx(1.0 / math.sqrt(1000.0), rel=0.35)
+    assert m["se_mean"] >= 0 and m["se_variance"] >= 0
+    # the blocks are contiguous runs in the given order, so sorting changes the errors
+    assert moments(np.sort(draws))["se_mean"] > 5 * m["se_mean"]
 
 
 def test_batch_validation():
     with pytest.raises(ValueError):
-        _batch([])
+        SampleBatch(label="t", params={}, values=[])
     with pytest.raises(ValueError):
-        _batch([1.0, float("nan")])
-    b = _batch([3.0, 1.0, 2.0])
-    assert b.values.tolist() == [1.0, 2.0, 3.0]
-    assert b.M == 3
+        SampleBatch(label="t", params={}, values=[1.0, float("nan")])
+    b = SampleBatch(label="t", params={}, values=[3, 1, 2])
+    assert b.values.dtype == float
+    assert b.values.tolist() == [3.0, 1.0, 2.0]  # replicate order is kept
 
 
 def test_ks_self_calibration_null_trials():
@@ -119,6 +125,6 @@ def test_ks_self_calibration_null_trials():
         config = ExperimentConfig(mode="tw-reference", beta=2.0, reps=2000, seed=60_000 + trial,
                                   mesh=0.1, cutoff=8.0, workers=2)
         rows = sweep(config)
-        if ks_two_sample(_batch(rows[:1000]), _batch(rows[1000:])).D < critical:
+        if ks_two_sample(rows[:1000], rows[1000:])["D"] < critical:
             below += 1
     assert below >= 99
