@@ -8,8 +8,8 @@ condition at 0 is discretized on a uniform mesh of step h:
 
 with g_k i.i.d. standard normal (the integrated white noise over cell k,
 scaled to unit variance).  Minus the smallest eigenvalue of A is one
-Tracy-Widom(beta) sample.  beta = inf is allowed and drops the noise term,
-exposing the deterministic ground state 2.3381... of the Airy operator.
+Tracy-Widom(beta) sample.  With ``noise=None``, :func:`airy_tridiagonal`
+gives the deterministic operator, with ground state 2.3381... as h -> 0.
 
 The cell noise is realized by summing a fixed micro-mesh Brownian tape, so
 runs at different h (or L) from the same stream share one underlying noise
@@ -38,15 +38,15 @@ DEFAULT_CUTOFF = 12.0
 
 @dataclass(frozen=True)
 class AiryDiscretization:
-    """Mesh step h, domain cutoff L, and noise parameter beta (inf = noiseless)."""
+    """Mesh step h, domain cutoff L, and noise parameter 0 < beta < inf."""
 
     beta: float
     h: float = DEFAULT_MESH
     L: float = DEFAULT_CUTOFF
 
     def __post_init__(self):
-        if not self.beta > 0:  # math.inf passes
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
         if not 0 < self.h <= 0.1:
             raise ValueError(f"mesh step must lie in (0, 0.1], got {self.h}")
         if not math.isfinite(self.L):
@@ -65,22 +65,19 @@ def airy_tridiagonal(beta: float, h: float, N: int, noise: np.ndarray | None) ->
     """Discretized operator matrix for given noise realization (None = noiseless)."""
     k = np.arange(1, N + 1, dtype=float)
     diag = 2.0 / h**2 + k * h
-    if noise is not None and math.isfinite(beta):
+    if noise is not None:
         diag = diag + (2.0 / math.sqrt(beta)) * noise / math.sqrt(h)
     offdiag = np.full(N - 1, -1.0 / h**2)
     return SymmetricTridiagonal(diag=diag, offdiag=offdiag)
 
 
-def cell_noise(disc: AiryDiscretization, stream: np.random.Generator) -> np.ndarray | None:
+def cell_noise(disc: AiryDiscretization, stream: np.random.Generator) -> np.ndarray:
     """Per-cell unit normals from the stream's micro-mesh Brownian tape.
 
     Cell k aggregates micro-increments mc*(k-1)..mc*k-1 of the tape, where
     mc = round(h / MICRO_STEP) (at least 1); the normalized sums are exactly
-    i.i.d. standard normal for any h.  Noiseless discretizations consume no
-    tape and return None.
+    i.i.d. standard normal for any h.
     """
-    if not math.isfinite(disc.beta):
-        return None
     mc = max(1, int(round(disc.h / MICRO_STEP)))
     micro = stream.standard_normal(disc.N * mc)
     return micro.reshape(disc.N, mc).sum(axis=1) / math.sqrt(mc)

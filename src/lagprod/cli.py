@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration error, 3 comparison threshold breach
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from .harness import (
     write_json,
     write_potential_csv,
 )
+from .scaling import coupled_scaling
 from .variates import TAPE
 
 
@@ -71,10 +73,9 @@ def main():
 @click.option("--reps", type=int, default=None, help="Replicate count M.")
 @click.option("--tol", type=float, default=None, help=_TOL_HELP)
 @_common_options
-def sample_product(n, p, q, beta, reps, tol, seed, out, workers, config_path):
+def sample_product(config_path, **flags):
     """Sample the centered, scaled largest eigenvalue of X_p X_q."""
-    _run("product", config_path, dict(n=n, p=p, q=q, beta=beta, reps=reps, tol=tol,
-                                      seed=seed, out=out, workers=workers))
+    _run("product", config_path, flags)
 
 
 @main.command("sample-single")
@@ -84,10 +85,9 @@ def sample_product(n, p, q, beta, reps, tol, seed, out, workers, config_path):
 @click.option("--reps", type=int, default=None, help="Replicate count M.")
 @click.option("--tol", type=float, default=None, help=_TOL_HELP)
 @_common_options
-def sample_single(n, p, beta, reps, tol, seed, out, workers, config_path):
+def sample_single(config_path, **flags):
     """Sample the centered, scaled largest eigenvalue of one matrix."""
-    _run("single", config_path, dict(n=n, p=p, beta=beta, reps=reps, tol=tol,
-                                     seed=seed, out=out, workers=workers))
+    _run("single", config_path, flags)
 
 
 @main.command("sample-tw")
@@ -97,10 +97,9 @@ def sample_single(n, p, beta, reps, tol, seed, out, workers, config_path):
 @click.option("--cutoff", type=float, default=None, help="Domain cutoff L (default 12).")
 @click.option("--tol", type=float, default=None, help=_TOL_HELP)
 @_common_options
-def sample_tw(beta, reps, mesh, cutoff, tol, seed, out, workers, config_path):
+def sample_tw(config_path, **flags):
     """Sample the Tracy-Widom(beta) reference law from the stochastic Airy operator."""
-    _run("tw-reference", config_path, dict(beta=beta, reps=reps, mesh=mesh, cutoff=cutoff,
-                                           tol=tol, seed=seed, out=out, workers=workers))
+    _run("tw-reference", config_path, flags)
 
 
 @main.command("compare")
@@ -108,10 +107,12 @@ def sample_tw(beta, reps, mesh, cutoff, tol, seed, out, workers, config_path):
 @click.argument("batch_b", type=click.Path(path_type=Path, exists=True))
 @click.option("--out", type=click.Path(path_type=Path), default=None, help="Directory for ks-report.json.")
 @click.option("--assert", "assert_d", type=float, default=None,
-              help="Exit with code 3 if the KS distance exceeds this threshold.")
+              help="Exit with code 3 if the KS distance exceeds this finite threshold.")
 def compare(batch_a, batch_b, out, assert_d):
     """Two-sample KS comparison of two persisted sample batches."""
     try:
+        if assert_d is not None and not math.isfinite(assert_d):
+            raise ConfigError(f"--assert must be finite, got {assert_d}")
         ks = compare_batches(batch_a, batch_b, out)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
@@ -130,7 +131,7 @@ def compare(batch_a, batch_b, out, assert_d):
 def constants(n, p, q, beta):
     """Print every centering/scaling constant for (n, p, q, beta)."""
     try:
-        report = scaling_report(n, p, q, beta)
+        report = scaling_report(coupled_scaling(n, p, q, beta))
     except ValueError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)

@@ -1,11 +1,13 @@
 """Experiment runner: config ingestion, one seeded parallel sweep, persistence.
 
-Every mode is a replicate function ``fn(config, r)`` of the validated
-config and the replicate index; :func:`sweep` maps the mode's replicate
-over ``r = 0..reps-1`` and is the one place a batch is drawn.  The modes
-are ``product``, ``single``, ``tw-reference`` and the internal
-``potential`` mode of ``diagnose-potential``; each resolves its constants
-(product or single scaling, or the Airy discretization) once per sweep.
+Every mode is a replicate function ``fn(config, r)`` of the config and
+the replicate index; :func:`sweep` maps the mode's replicate over
+``r = 0..reps-1`` and is the one place a batch is drawn.  The modes are
+``product``, ``single``, ``tw-reference`` and the internal ``potential``
+mode of ``diagnose-potential``.  A config is frozen: it is checked once,
+when it is built, and resolves its mode's constants (product or single
+scaling, or the Airy discretization) there; the sweep and the report of a
+run reuse them.
 
 Replicate r of a run with master seed s draws only from the streams
 ``split_stream(s, r)`` (product mode: ``(s, 2r)`` and ``(s, 2r+1)``, one per
@@ -23,8 +25,9 @@ failure (an exception in any chunk, or a helper that dies) terminates and
 joins every helper before it is raised, so no later sweep reads a stale
 chunk.  Helpers keep the module state (and the open files) of the process
 as of their fork, so a monkeypatch applied later reaches ``workers=1``
-sweeps and the caller's chunk, not the helpers' chunks.  Helpers exit with
-the process, at interpreter exit or when it is killed.
+sweeps and the caller's chunk, not the helpers' chunks.  Helpers are
+daemonic, so multiprocessing's exit handler terminates and joins them at
+interpreter exit; when the caller is killed they read end-of-file and exit.
 
 Persistence formats:
 
@@ -41,7 +44,6 @@ Persistence formats:
 
 from __future__ import annotations
 
-import atexit
 import hashlib
 import json
 import math
@@ -50,7 +52,7 @@ import os
 import time
 import traceback
 from dataclasses import asdict, dataclass
-from functools import cached_property, partial
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +61,8 @@ from .airy import DEFAULT_CUTOFF, DEFAULT_MESH, AiryDiscretization, sample_tw
 from .eig import EigConfig, banded_largest_eig, tridiag_extreme_eig
 from .ensemble import EnsembleParams, laguerre_matrix, potential_path, sample_bidiagonal
 from .product import product_similarity
-from .scaling import coupled_scaling, closed_form_Cn, closed_form_cn, product_statistic, single_scaling
+from .scaling import (ScalingConstants, closed_form_Cn, closed_form_cn, coupled_scaling,
+                      product_statistic, single_scaling)
 from .stats import SampleBatch, ks_two_sample, moments
 from .variates import TAPE, split_stream
 
@@ -71,8 +74,12 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (maps to CLI exit code 2)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """A run's settings, checked once when built; vary one with ``dataclasses.replace``.
+
+    Building it also resolves :attr:`constants`, the mode's constants, which checks the sizes."""
+
     mode: str
     beta: float = 1.0
     n: int | None = None
@@ -87,11 +94,7 @@ class ExperimentConfig:
     cutoff: float | None = None
 
     def __post_init__(self):
-        self.out = Path(self.out)
-        self.validate()
-
-    def validate(self) -> None:
-        """Check the fields and (re)resolve :attr:`constants`, which checks the sizes."""
+        object.__setattr__(self, "out", Path(self.out))
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; choose from {MODES}")
         if self.reps < 1:
@@ -107,25 +110,22 @@ class ExperimentConfig:
             raise ConfigError(f"{self.mode} mode requires {', '.join(sizes)}")
         if self.mode == "potential" and self.n < 2:
             raise ConfigError(f"the potential path needs n >= 2 for a grid point, got n={self.n}")
-        vars(self).pop("constants", None)
         try:
             self.eig_config()
-            self.constants
+            if self.mode == "product":
+                constants = coupled_scaling(self.n, self.p, self.q, self.beta)
+            elif self.mode == "tw-reference":
+                constants = AiryDiscretization(
+                    beta=self.beta, h=DEFAULT_MESH if self.mesh is None else self.mesh,
+                    L=DEFAULT_CUTOFF if self.cutoff is None else self.cutoff)
+            else:
+                constants = single_scaling(self.n, self.p)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        object.__setattr__(self, "constants", constants)  # not a field, so not in asdict()
 
     def eig_config(self) -> EigConfig:
         return EigConfig(rel_tol=self.tol) if self.tol is not None else EigConfig()
-
-    @cached_property
-    def constants(self):
-        """The mode's constants: product or single scaling, or the Airy discretization."""
-        if self.mode == "product":
-            return coupled_scaling(self.n, self.p, self.q, self.beta)
-        if self.mode == "tw-reference":
-            return AiryDiscretization(beta=self.beta, h=DEFAULT_MESH if self.mesh is None else self.mesh,
-                                      L=DEFAULT_CUTOFF if self.cutoff is None else self.cutoff)
-        return single_scaling(self.n, self.p)
 
 
 # --- config files ---------------------------------------------------------
@@ -273,12 +273,8 @@ def _drop_pool() -> None:
     _pool = None
 
 
-atexit.register(_drop_pool)  # join the helpers and close their pipes
-
-
 def sweep(config: ExperimentConfig) -> np.ndarray:
     """Rows of replicates 0..reps-1 of the config's mode, in replicate order."""
-    config.validate()
     # looked up per call, so a replicate patched on the module is the one run
     replicate = {"product": _product_replicate, "single": _single_replicate,
                  "tw-reference": _tw_replicate, "potential": _path_replicate}[config.mode]
@@ -363,30 +359,16 @@ def write_json(path: Path, payload: dict) -> None:
 # --- experiment pipeline ----------------------------------------------------
 
 
-def scaling_report(n: int, p: int, q: int, beta: float) -> dict:
+def scaling_report(sc: ScalingConstants) -> dict:
     """Every product constant plus the printed closed forms and their status."""
-    sc = coupled_scaling(n, p, q, beta)
-    cf_cn = closed_form_cn(n, p, q)
-    cf_Cn = closed_form_Cn(n, p, q)
+    report = asdict(sc)
+    # each factor's m, mu and sigma; its n and ladder parameter are the report's n, p and q
+    report["per_matrix"] = {k: {f: s[f] for f in ("m", "mu", "sigma")}
+                            for k, s in (("p", report.pop("sp")), ("q", report.pop("sq")))}
+    cf_cn = closed_form_cn(sc.n, sc.p, sc.q)
+    cf_Cn = closed_form_Cn(sc.n, sc.p, sc.q)
     cube = sc.c_n**3
-    return {
-        "n": n,
-        "p": p,
-        "q": q,
-        "beta": beta,
-        "per_matrix": {
-            "p": {"m": sc.sp.m, "mu": sc.sp.mu, "sigma": sc.sp.sigma},
-            "q": {"m": sc.sq.m, "mu": sc.sq.mu, "sigma": sc.sq.sigma},
-        },
-        "m_n": sc.m_n,
-        "a_n": sc.a_n,
-        "b_n": sc.b_n,
-        "d_n": sc.d_n,
-        "c_n": sc.c_n,
-        "C_n": sc.C_n,
-        "beta0": sc.beta0,
-        "mu_n": sc.mu_n,
-        "stat_denom": sc.stat_denom,
+    return report | {
         "closed_form_cn": cf_cn,
         "closed_form_cn_note": (
             "equals c_n**3 (cube of the operative constant); "
@@ -407,7 +389,7 @@ def _sample_params(config: ExperimentConfig) -> tuple[dict, dict | None]:
     params = {"beta": config.beta, "seed": config.seed, "M": config.reps, "tape": TAPE}
     if config.mode == "product":
         params.update(n=c.n, p=c.p, q=c.q, beta0=c.beta0, generator="laguerre-product")
-        return params, scaling_report(c.n, c.p, c.q, c.beta)
+        return params, scaling_report(c)
     if config.mode == "single":
         params.update(n=c.n, p=c.i, generator="laguerre-single")
         return params, asdict(c)

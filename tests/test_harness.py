@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -187,6 +188,32 @@ def test_config_validation_errors(kwargs):
         ExperimentConfig(**kwargs)
 
 
+def test_config_is_frozen(tmp_path):
+    config = _tw_config(tmp_path)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.workers = 2
+
+
+def test_product_run_resolves_constants_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return coupled_scaling(*args)
+
+    monkeypatch.setattr(harness, "coupled_scaling", counting)
+    run_experiment(ExperimentConfig(mode="product", n=6, p=7, q=9, beta=0.5, reps=3, seed=1, out=tmp_path))
+    assert calls == [(6, 7, 9, 0.5)]
+
+
+def test_product_report_constants_match_cli(tmp_path):
+    report_path, _ = run_experiment(ExperimentConfig(mode="product", n=6, p=7, q=9, beta=0.5, reps=3,
+                                                     seed=1, out=tmp_path))
+    printed = CliRunner().invoke(cli_main, ["constants", "--n", "6", "--p", "7", "--q", "9", "--beta", "0.5"])
+    assert printed.exit_code == 0
+    assert json.loads(printed.output) == json.loads(report_path.read_text())["constants"]
+
+
 def test_failed_replicates_recorded_not_filled(tmp_path, monkeypatch):
     calls = {"count": 0}
     real = harness.banded_largest_eig
@@ -253,7 +280,7 @@ def test_worker_count_change_replaces_pool(tmp_path):
     expected = sweep(config)
     pools = []
     for w in (2, 3, 2):
-        config.workers = w
+        config = dataclasses.replace(config, workers=w)
         assert sweep(config).tobytes() == expected.tobytes()
         key, helpers = harness._pool
         assert key == (os.getpid(), w)
@@ -436,10 +463,10 @@ def test_mean_potential_path_shapes_and_reference():
 
 
 def test_scaling_report_discrepancy_note():
-    rep = scaling_report(4, 9, 16, 2.0)
+    rep = scaling_report(coupled_scaling(4, 9, 16, 2.0))
     assert "cube" in rep["closed_form_cn_note"]
     assert "discrepancy" in rep["closed_form_Cn_note"]
-    rep_eq = scaling_report(4, 9, 9, 2.0)
+    rep_eq = scaling_report(coupled_scaling(4, 9, 9, 2.0))
     assert rep_eq["closed_form_Cn_note"] == "matches operative C_n"
     assert rep_eq["beta0"] == pytest.approx(4.0, rel=1e-12)
 
@@ -470,6 +497,12 @@ def test_cli_constants_and_exit_codes(tmp_path):
 
     same = runner.invoke(cli_main, ["compare", str(csv), str(csv), "--assert", "0.5"])
     assert same.exit_code == 0
+
+    # D > nan is never true, so a non-finite bound is a gate that cannot fail
+    for bound in ("nan", "inf"):
+        bad = runner.invoke(cli_main, ["compare", str(csv), str(csv), "--assert", bound])
+        assert bad.exit_code == 2, (bound, bad.output)
+        assert bad.output.startswith("config error: --assert must be finite")
 
     prod_out = tmp_path / "prod"
     runner.invoke(
