@@ -8,8 +8,10 @@ condition at 0 is discretized on a uniform mesh of step h:
 
 with g_k i.i.d. standard normal (the integrated white noise over cell k,
 scaled to unit variance).  Minus the smallest eigenvalue of A is one
-Tracy-Widom(beta) sample.  With ``noise=None``, :func:`airy_tridiagonal`
-gives the deterministic operator, with ground state 2.3381... as h -> 0.
+Tracy-Widom(beta) sample.  The noiseless bands are built once per (h, N),
+read-only, and each sample adds its noise to a copy of the diagonal; with
+``noise=None``, :func:`airy_tridiagonal` gives the deterministic operator,
+with ground state 2.3381... as h -> 0.
 
 The cell noise is realized by summing a fixed micro-mesh Brownian tape, so
 runs at different h (or L) from the same stream share one underlying noise
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,13 +64,20 @@ class AiryDiscretization:
         return int(round(self.L / self.h))
 
 
+@lru_cache(maxsize=8)
+def _noiseless_bands(h: float, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only diagonal 2/h^2 + k h and off-diagonal -1/h^2 of the noiseless operator."""
+    diag = 2.0 / h**2 + np.arange(1, N + 1, dtype=float) * h
+    offdiag = np.full(N - 1, -1.0 / h**2)
+    diag.flags.writeable = offdiag.flags.writeable = False
+    return diag, offdiag
+
+
 def airy_tridiagonal(beta: float, h: float, N: int, noise: np.ndarray | None) -> SymmetricTridiagonal:
     """Discretized operator matrix for given noise realization (None = noiseless)."""
-    k = np.arange(1, N + 1, dtype=float)
-    diag = 2.0 / h**2 + k * h
+    diag, offdiag = _noiseless_bands(h, N)
     if noise is not None:
         diag = diag + (2.0 / math.sqrt(beta)) * noise / math.sqrt(h)
-    offdiag = np.full(N - 1, -1.0 / h**2)
     return SymmetricTridiagonal(diag=diag, offdiag=offdiag)
 
 

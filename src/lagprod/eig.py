@@ -1,8 +1,9 @@
 """Extremal eigenvalue solvers for symmetric banded matrices.
 
-Tridiagonal extremes come from LAPACK dstebz (Sturm-count bisection), which
-stops once its bracket is below rel_tol times the Gershgorin spectral
-diameter D; the final bracket is the certificate.
+Tridiagonal extremes come from LAPACK dstebz (Sturm-count bisection), called
+directly, which stops once its bracket is below rel_tol times the Gershgorin
+spectral diameter D; the final bracket is the certificate.  A non-finite
+entry gives nan, without a LAPACK call.
 
 The pentadiagonal largest eigenvalue uses
 ``lambda_max(S) = inf{x : xI - S positive definite}``, tested by whether the
@@ -21,8 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dpbtrf, dsbevx
+from scipy.linalg.lapack import dpbtrf, dsbevx, dstebz
 
 from .ensemble import SymmetricTridiagonal
 from .product import SymmetricPentadiagonal
@@ -62,28 +62,31 @@ def gershgorin_bounds(diag: np.ndarray, *offdiags: np.ndarray) -> tuple[float, f
     return float((diag - r).min()), float((diag + r).max())
 
 
-def tridiag_extreme_eig(
-    T: SymmetricTridiagonal, which: str, cfg: EigConfig | None = None
-) -> float:
+def tridiag_extreme_eig(T: SymmetricTridiagonal, which: str, cfg: EigConfig | None = None) -> float:
     """Smallest or largest eigenvalue of T by LAPACK Sturm bisection (dstebz).
 
     ``which`` is "smallest" or "largest".  The absolute error is at most
-    rel_tol times the Gershgorin spectral diameter of T.
+    rel_tol times the Gershgorin spectral diameter of T; nan if T has a
+    non-finite entry.
     """
     if which not in ("smallest", "largest"):
         raise ValueError(f'which must be "smallest" or "largest", got {which!r}')
     cfg = cfg or EigConfig()
+    m = float(np.maximum(np.abs(T.diag).max(), np.abs(T.offdiag).max(initial=0.0)))  # keeps nan
+    if not math.isfinite(m):
+        return math.nan
+    if T.n == 1:  # dstebz takes no empty off-diagonal
+        return float(T.diag[0])
     # dstebz squares the off-diagonal; dividing by a power of two near the
     # largest entry (exact) keeps those squares from underflowing to zero
-    m = max(float(np.abs(T.diag).max()), float(np.abs(T.offdiag).max(initial=0.0)))
     s = math.ldexp(1.0, math.frexp(m)[1]) if m > 0 else 1.0
     diag, offdiag = T.diag / s, T.offdiag / s
     lo, hi = gershgorin_bounds(diag, offdiag)
-    k = 0 if which == "smallest" else T.n - 1
-    # a zero diameter (T = cI) gives tol = 0, for which scipy uses eps * ||T||_1
-    w = scipy.linalg.eigvalsh_tridiagonal(
-        diag, offdiag, select="i", select_range=(k, k), tol=cfg.rel_tol * (hi - lo)
-    )
+    k = 1 if which == "smallest" else T.n
+    # a zero diameter (T = cI) gives tol = 0, for which dstebz uses ulp * ||T||_1
+    _, w, _, _, info = dstebz(diag, offdiag, 2, 0.0, 0.0, k, k, cfg.rel_tol * (hi - lo), "E")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstebz failed with info={info}")
     return s * float(w[0])
 
 

@@ -11,6 +11,7 @@ centering for its largest eigenvalue.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -67,17 +68,24 @@ class SymmetricTridiagonal:
         return len(self.diag)
 
 
+@lru_cache(maxsize=8)
+def _chi_params(n: int, kappa: int, beta: float) -> np.ndarray:
+    """Read-only chi parameters of one factor: the diagonal's, then the subdiagonal's."""
+    alpha = beta * np.concatenate([kappa - np.arange(n), n - 1 - np.arange(n - 1)])
+    alpha.flags.writeable = False
+    return alpha
+
+
 def sample_bidiagonal(params: EnsembleParams, stream: np.random.Generator) -> BidiagonalFactor:
     """Draw one bidiagonal factor from its own generator.
 
     Tape discipline (tape 2): all n diagonal entries in order, then all n-1
-    subdiagonal entries, each block as one vectorized chi draw.  The entries
-    are independent, so the draw order does not affect the law.
+    subdiagonal entries, in one vectorized chi draw that fills them in that
+    order.  The entries are independent, so the order does not affect the law.
     """
     n, kappa, beta = params.n, params.kappa, params.beta
-    diag = chi(stream, beta * (kappa - np.arange(n)))
-    subdiag = chi(stream, beta * (n - 1 - np.arange(n - 1)))
-    return BidiagonalFactor(n=n, kappa=kappa, beta=beta, diag=diag, subdiag=subdiag)
+    x = chi(stream, _chi_params(n, kappa, beta))
+    return BidiagonalFactor(n=n, kappa=kappa, beta=beta, diag=x[:n], subdiag=x[n:])
 
 
 def laguerre_matrix(factor: BidiagonalFactor) -> SymmetricTridiagonal:

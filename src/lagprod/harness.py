@@ -36,19 +36,22 @@ Persistence formats:
   header, then one row per replicate in replicate order.  Floats are
   serialized with repr (shortest round-trip); failed replicates (a
   non-finite solve) are recorded as ``nan``, never filled.
-* reports: JSON with fixed keys, including the RNG ``tape`` version,
-  referencing artifact paths together with their sha256 checksums.
-  :func:`run_experiment` returns the report dict it writes, and
-  :func:`compare_batches` the KS payload.
+* reports: JSON with fixed keys, including the RNG ``tape`` version and the
+  ``versions`` of python, numpy, scipy and numba, referencing artifact paths
+  together with their sha256 checksums.  :func:`run_experiment` returns the
+  report dict it writes, and :func:`compare_batches` the KS payload.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.metadata
+import importlib.util
 import json
 import math
 import multiprocessing
 import os
+import platform
 import time
 import traceback
 from dataclasses import asdict, dataclass
@@ -56,6 +59,7 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .airy import DEFAULT_CUTOFF, DEFAULT_MESH, AiryDiscretization, sample_tw
 from .eig import EigConfig, banded_largest_eig, tridiag_extreme_eig
@@ -67,6 +71,10 @@ from .stats import SampleBatch, ks_two_sample, moments
 from .variates import TAPE, split_stream
 
 MODES = ("product", "single", "tw-reference", "potential")
+# the process's numeric stack, for every run report; numba is never imported, only looked up
+_NUMBA = importlib.util.find_spec("numba") and importlib.metadata.version("numba")
+VERSIONS = {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "numba": _NUMBA or "absent"}
 _SIZES = {"product": ("n", "p", "q"), "single": ("n", "p"), "potential": ("n", "p")}
 
 
@@ -415,6 +423,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[Path, dict]:
     wall = time.perf_counter() - t0
     report = {
         "tape": TAPE,
+        "versions": dict(VERSIONS),
         "config": asdict(config) | {"out": str(config.out), "tol": config.eig_config().rel_tol},
         "constants": constants,
         "moments": mom,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lagprod import airy
 from lagprod.airy import AiryDiscretization, airy_tridiagonal, cell_noise, sample_tw
 from lagprod.eig import EigConfig, tridiag_extreme_eig
 from lagprod.harness import ExperimentConfig, sweep
@@ -81,6 +82,28 @@ def test_cell_noise_tape_golden():
     assert g[:4].tolist() == [
         0.5364025547181924, -0.4079509992096393, 0.7995843268358135, 0.09634020616990857
     ]
+
+
+@pytest.mark.parametrize("h,L,golden", [
+    (0.04, 12.0, [-3.098404068443139, -2.1233813455818225, -1.4828977431726682]),  # 8 micro-steps
+    (0.1, 8.0, [-3.0370116315839804, -2.1122572398616635, -1.39144000233628]),  # 20 micro-steps
+])
+def test_sample_tw_golden(h, L, golden):
+    # pins every bit of the cell sums (numpy's pairwise sum from 8 micro-steps
+    # a cell up), the band arithmetic and the solve
+    disc = AiryDiscretization(beta=2.0, h=h, L=L)
+    assert [sample_tw(disc, split_stream(29, r)) for r in range(3)] == golden
+
+
+def test_memoized_bands_are_read_only():
+    noise = cell_noise(AiryDiscretization(beta=2.0, h=0.1, L=8.0), split_stream(1, 0))
+    A = airy_tridiagonal(2.0, 0.1, 80, noise)
+    diag, offdiag = airy._noiseless_bands(0.1, 80)
+    assert not diag.flags.writeable and not offdiag.flags.writeable
+    assert A.offdiag is offdiag
+    assert A.diag.flags.writeable and not np.shares_memory(A.diag, diag)
+    with pytest.raises(ValueError):
+        diag[0] = 0.0
 
 
 def test_batch_single_element_matches_sample():

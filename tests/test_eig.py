@@ -56,6 +56,35 @@ def test_bisection_matches_dense_oracle():
         assert abs(tridiag_extreme_eig(T, "largest") - ev[-1]) < 1e-8 * scale
 
 
+def test_bisection_nonfinite_entry_gives_nan():
+    T = SymmetricTridiagonal(diag=np.array([1.0, np.nan, 3.0]), offdiag=np.array([0.5, 0.5]))
+    U = SymmetricTridiagonal(diag=np.array([1.0, 2.0, 3.0]), offdiag=np.array([0.5, np.inf]))
+    for A in (T, U):
+        for which in ("smallest", "largest"):
+            assert np.isnan(tridiag_extreme_eig(A, which))
+    assert np.isnan(tridiag_extreme_eig(_diag_matrix([np.inf]), "largest"))
+
+
+def test_bisection_matches_scipy_wrapper_bit_for_bit():
+    # the direct dstebz call is the one eigvalsh_tridiagonal(select="i") makes
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    rng = np.random.default_rng(8)
+    cfg = EigConfig(rel_tol=1e-10)
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        T = SymmetricTridiagonal(diag=rng.normal(size=n) * 10.0 ** rng.integers(-5, 6),
+                                 offdiag=rng.normal(size=n - 1))
+        m = max(np.abs(T.diag).max(), np.abs(T.offdiag).max(initial=0.0))
+        s = 2.0 ** np.frexp(m)[1]
+        diag, offdiag = T.diag / s, T.offdiag / s
+        lo, hi = gershgorin_bounds(diag, offdiag)
+        for which, k in (("smallest", 0), ("largest", n - 1)):
+            w = eigvalsh_tridiagonal(diag, offdiag, select="i", select_range=(k, k),
+                                     tol=cfg.rel_tol * (hi - lo))
+            assert tridiag_extreme_eig(T, which, cfg) == s * w[0]
+
+
 def test_bisection_which_validation():
     with pytest.raises(ValueError):
         tridiag_extreme_eig(_diag_matrix([1.0]), "middle")

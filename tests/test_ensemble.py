@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+from lagprod import ensemble
 from lagprod.eig import EigConfig, gershgorin_bounds, tridiag_extreme_eig
 from lagprod.ensemble import (
     EnsembleParams,
@@ -41,6 +42,23 @@ def test_sample_tape_v2_golden():
     stream = split_stream(7, 0)
     assert factor.diag.tolist() == chi(stream, np.array([10.0, 8.0, 6.0])).tolist()
     assert factor.subdiag.tolist() == chi(stream, np.array([4.0, 2.0])).tolist()
+
+
+def test_sample_noninteger_beta_golden():
+    # beta = 0.37: every gamma shape beta*(kappa-j)/2 and beta*(n-1-j)/2 is
+    # below 1, numpy's small-shape branch; one draw over both bands must give
+    # the values of a diagonal draw followed by a subdiagonal draw
+    factor = sample_bidiagonal(EnsembleParams(n=3, kappa=5, beta=0.37), split_stream(7, 0))
+    assert factor.diag.tolist() == [1.749155689893087, 1.1107159672908031, 1.2132407305058015]
+    assert factor.subdiag.tolist() == [0.05322149949861075, 0.0007281741482494322]
+
+
+def test_memoized_chi_parameters_are_read_only():
+    alpha = ensemble._chi_params(3, 5, 2.0)
+    assert alpha.tolist() == [10.0, 8.0, 6.0, 4.0, 2.0]
+    assert not alpha.flags.writeable
+    with pytest.raises(ValueError):
+        alpha[0] = 1.0
 
 
 def test_sample_determinism():

@@ -1,7 +1,10 @@
+import ast
 import dataclasses
+import importlib
 import json
 import math
 import os
+import platform
 import signal
 import subprocess
 import sys
@@ -11,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from click.testing import CliRunner
 
 from lagprod import harness
@@ -237,6 +241,24 @@ def test_failed_replicates_recorded_not_filled(tmp_path, monkeypatch):
     assert report["moments"] == moments(reread.values)
 
 
+def test_single_sweep_records_nonfinite_matrices_as_failures(tmp_path, monkeypatch):
+    calls = {"count": 0}
+    real = harness.laguerre_matrix
+
+    def poisoned(factor):
+        X = real(factor)
+        calls["count"] += 1
+        if calls["count"] % 3 == 0:
+            X.diag[1] = math.nan
+        return X
+
+    monkeypatch.setattr(harness, "laguerre_matrix", poisoned)
+    config = ExperimentConfig(mode="single", n=6, p=8, beta=1.0, reps=9, seed=5, out=tmp_path)
+    _, report = run_experiment(config)
+    assert report["failures"] == 3
+    assert (tmp_path / "single-samples.csv").read_text().count(",nan") == 3
+
+
 def test_all_failed_replicates_raise_config_error(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "banded_largest_eig", lambda S, cfg=None: math.nan)
     config = ExperimentConfig(mode="product", n=4, p=4, q=4, beta=1.0, reps=3, seed=5, out=tmp_path)
@@ -422,7 +444,10 @@ def test_run_report_json_checksums(tmp_path):
     report_path, report = run_experiment(_tw_config(tmp_path))
     assert report_path == tmp_path / "tw-reference-report.json"
     payload = json.loads(report_path.read_text())
-    assert payload.keys() == {"tape", "config", "constants", "failures", "moments", "artifacts", "timing"}
+    assert payload.keys() == {"tape", "versions", "config", "constants", "failures", "moments",
+                              "artifacts", "timing"}
+    assert payload["versions"] == {"python": platform.python_version(), "numpy": np.__version__,
+                                   "scipy": scipy.__version__, "numba": harness.VERSIONS["numba"]}
     assert payload["moments"].keys() == {"mean", "variance", "skewness", "se_mean", "se_variance"}
     assert payload["artifacts"].keys() == {"samples_csv"}
     assert payload["artifacts"]["samples_csv"].keys() == {"path", "sha256"}
@@ -436,6 +461,39 @@ def test_run_report_json_checksums(tmp_path):
     assert payload["tape"] == 2
     assert "# tape=2" in (tmp_path / "tw-reference-samples.csv").read_text().splitlines()
     assert payload == report  # the report returned is the one written
+
+
+def _span_targets() -> dict:
+    """``SPAN_TARGETS`` of the benchmark's runner, read from its source without importing it."""
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "benchmark" / "runner.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["SPAN_TARGETS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("benchmark/runner.py defines no SPAN_TARGETS")
+
+
+def test_benchmark_span_targets_resolve_and_see_every_replicate(tmp_path, monkeypatch):
+    # a traced benchmark run wraps each target where the sweep looks it up and
+    # fails on a missing one; count the calls one sweep per mode makes there
+    counts: dict = {}
+    for name, targets in _span_targets().items():
+        for module_name, attr in targets:
+            module = importlib.import_module(module_name)
+            real = getattr(module, attr)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, attr, counted)
+    run_experiment(_tw_config(tmp_path, reps=4))
+    tw_spans = ("rep", "airy.cell_noise", "airy.airy_tridiagonal", "eig.tridiag_extreme_eig")
+    assert [counts.get(k) for k in tw_spans] == [4] * len(tw_spans)
+    counts.clear()
+    run_experiment(ExperimentConfig(mode="product", n=6, p=7, q=9, reps=3, seed=1, out=tmp_path))
+    assert counts["rep"] == 3
+    assert counts["ensemble.sample_bidiagonal"] == 2 * 3
+    assert counts["eig.banded_largest_eig"] == 3
 
 
 def test_single_mode_statistic(tmp_path):
