@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .eig import EigConfig, tridiag_extreme_eig
-from .ensemble import SymmetricTridiagonal
+from .ensemble import SymmetricBanded
 
 # Micro-mesh used to realize the Brownian tape; each cell of width h sums
 # about h/MICRO_STEP micro-increments (exactly standard normal after
@@ -73,12 +73,12 @@ def _noiseless_bands(h: float, N: int) -> tuple[np.ndarray, np.ndarray]:
     return diag, offdiag
 
 
-def airy_tridiagonal(beta: float, h: float, N: int, noise: np.ndarray | None) -> SymmetricTridiagonal:
+def airy_tridiagonal(beta: float, h: float, N: int, noise: np.ndarray | None) -> SymmetricBanded:
     """Discretized operator matrix for given noise realization (None = noiseless)."""
     diag, offdiag = _noiseless_bands(h, N)
     if noise is not None:
         diag = diag + (2.0 / math.sqrt(beta)) * noise / math.sqrt(h)
-    return SymmetricTridiagonal(diag=diag, offdiag=offdiag)
+    return SymmetricBanded((diag, offdiag))
 
 
 def cell_noise(disc: AiryDiscretization, stream: np.random.Generator) -> np.ndarray:
@@ -102,5 +102,5 @@ def sample_tw(
     by LAPACK bisection (dstebz).
     """
     A = airy_tridiagonal(disc.beta, disc.h, disc.N, cell_noise(disc, stream))
-    return -tridiag_extreme_eig(A, "smallest", cfg)
+    return -tridiag_extreme_eig(A, cfg)
 

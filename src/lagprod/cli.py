@@ -26,8 +26,8 @@ from .scaling import coupled_scaling
 from .variates import TAPE
 
 
-_TOL_HELP = ("Eigensolver tolerance (default 1e-10): each eigenvalue is within tol times "
-             "the matrix's Gershgorin spectral diameter (half that for the product's).")
+_TOL_HELP = ("Eigensolver tolerance (default 1e-10): a top eigenvalue is within tol/2 times "
+             "the matrix's Gershgorin spectral diameter (Airy's smallest within tol times it).")
 
 
 def _common_options(fn):

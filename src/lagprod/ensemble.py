@@ -5,7 +5,8 @@ A factor B is lower bidiagonal with independent chi entries
 ``subdiag[j] ~ chi_{beta*(n-j)}`` (j = 1..n-1).  The ensemble matrix is the
 scaled Gram matrix X = B^T B / beta, which is symmetric tridiagonal and
 positive semidefinite; the 1/beta makes (sqrt(n)+sqrt(kappa))^2 the correct
-centering for its largest eigenvalue.
+centering for its largest eigenvalue.  It is stored as a
+:class:`SymmetricBanded`, the band type of every matrix model here.
 """
 
 from __future__ import annotations
@@ -48,24 +49,39 @@ class BidiagonalFactor:
     def __post_init__(self):
         if len(self.diag) != self.n or len(self.subdiag) != self.n - 1:
             raise ValueError("factor entry lengths do not match n")
-        if np.any(self.diag < 0) or np.any(self.subdiag < 0):
-            raise ValueError("chi realizations must be nonnegative")
 
 
 @dataclass(frozen=True)
-class SymmetricTridiagonal:
-    """Symmetric tridiagonal matrix stored as its main and first off-diagonal."""
+class SymmetricBanded:
+    """Symmetric band matrix stored as its main diagonal, then off-diagonals 1..kd."""
 
-    diag: np.ndarray
-    offdiag: np.ndarray
+    bands: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if len(self.offdiag) != len(self.diag) - 1:
-            raise ValueError("offdiag must have length n-1")
+        n = len(self.bands[0])
+        if [len(b) for b in self.bands] != [max(n - k, 0) for k in range(len(self.bands))]:
+            raise ValueError("band lengths must be n, n-1, ..., n-kd")
 
     @property
     def n(self) -> int:
-        return len(self.diag)
+        return len(self.bands[0])
+
+    def dense(self) -> np.ndarray:
+        A = np.diag(np.asarray(self.bands[0], dtype=float))
+        for off, band in enumerate(self.bands[1:], start=1):
+            idx = np.arange(len(band))
+            A[idx, idx + off] = band
+            A[idx + off, idx] = band
+        return A
+
+    def one_norm(self) -> float:
+        """Max column absolute sum, from the bands."""
+        col = np.abs(self.bands[0])
+        for off, band in enumerate(self.bands[1:], start=1):
+            a = np.abs(band)
+            col[: len(a)] += a
+            col[off:] += a
+        return float(col.max()) if self.n else 0.0
 
 
 @lru_cache(maxsize=8)
@@ -88,7 +104,7 @@ def sample_bidiagonal(params: EnsembleParams, stream: np.random.Generator) -> Bi
     return BidiagonalFactor(n=n, kappa=kappa, beta=beta, diag=x[:n], subdiag=x[n:])
 
 
-def laguerre_matrix(factor: BidiagonalFactor) -> SymmetricTridiagonal:
+def laguerre_matrix(factor: BidiagonalFactor) -> SymmetricBanded:
     """Form X = B^T B / beta without densifying.
 
     Entrywise, ``X[j,j] = (diag[j]^2 + subdiag[j]^2)/beta`` (the last
@@ -99,7 +115,7 @@ def laguerre_matrix(factor: BidiagonalFactor) -> SymmetricTridiagonal:
     diag = d * d
     diag[:-1] += s * s
     off = d[1:] * s
-    return SymmetricTridiagonal(diag=diag / beta, offdiag=off / beta)
+    return SymmetricBanded((diag / beta, off / beta))
 
 
 def potential_path(factor: BidiagonalFactor, scaling) -> np.ndarray:
@@ -120,6 +136,6 @@ def potential_path(factor: BidiagonalFactor, scaling) -> np.ndarray:
             f"factor (n={factor.n}, kappa={factor.kappa})"
         )
     n, i, beta = factor.n, factor.kappa, factor.beta
-    X = laguerre_matrix(factor)
-    terms = scaling.mu - (X.diag[:-1] + 2.0 * X.offdiag)
+    diag, offdiag = laguerre_matrix(factor).bands
+    terms = scaling.mu - (diag[:-1] + 2.0 * offdiag)
     return np.cumsum(terms) * (scaling.m / np.sqrt(float(n) * float(i)))

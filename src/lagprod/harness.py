@@ -4,7 +4,8 @@ Every mode is a replicate function ``fn(config, r)`` of the config and
 the replicate index; :func:`sweep` maps the mode's replicate over
 ``r = 0..reps-1`` and is the one place a batch is drawn.  The modes are
 ``product``, ``single``, ``tw-reference`` and the internal ``potential``
-mode of ``diagnose-potential``.  A config is frozen: it is checked once,
+mode of ``diagnose-potential``, which only :func:`mean_potential_path`
+runs.  A config is frozen: it is checked once,
 when it is built, and resolves its mode's constants (product or single
 scaling, or the Airy discretization) there; the sweep and the report of a
 run reuse them.
@@ -62,7 +63,7 @@ import numpy as np
 import scipy
 
 from .airy import DEFAULT_CUTOFF, DEFAULT_MESH, AiryDiscretization, sample_tw
-from .eig import EigConfig, banded_largest_eig, tridiag_extreme_eig
+from .eig import EigConfig, banded_largest_eig
 from .ensemble import EnsembleParams, laguerre_matrix, potential_path, sample_bidiagonal
 from .product import product_similarity
 from .scaling import (ScalingConstants, closed_form_Cn, closed_form_cn, coupled_scaling,
@@ -201,7 +202,7 @@ def _product_replicate(config: ExperimentConfig, r: int) -> float:
 def _single_replicate(config: ExperimentConfig, r: int) -> float:
     X = laguerre_matrix(_factor(config, config.p, r))
     s = config.constants
-    return (tridiag_extreme_eig(X, "largest", config.eig_config()) - s.mu) / s.sigma
+    return (banded_largest_eig(X, config.eig_config()) - s.mu) / s.sigma
 
 
 def _tw_replicate(config: ExperimentConfig, r: int) -> float:
@@ -410,6 +411,9 @@ def run_experiment(config: ExperimentConfig) -> tuple[Path, dict]:
 
     Returns the report's path and the report dict written there.
     """
+    if config.mode == "potential":
+        raise ConfigError("potential mode has no sample batch; run it with mean_potential_path "
+                          "(the diagnose-potential command)")
     t0 = time.perf_counter()
     rows = sweep(config)
     params, constants = _sample_params(config)

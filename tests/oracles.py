@@ -3,7 +3,7 @@
 import numpy as np
 import scipy.linalg
 
-from lagprod.ensemble import BidiagonalFactor, SymmetricTridiagonal
+from lagprod.ensemble import BidiagonalFactor, SymmetricBanded
 
 DENSE_ORACLE_MAX_N = 64
 
@@ -16,16 +16,17 @@ def dense_bidiagonal(B: BidiagonalFactor) -> np.ndarray:
     return A
 
 
-def dense_tridiagonal(T: SymmetricTridiagonal) -> np.ndarray:
+def dense_tridiagonal(T: SymmetricBanded) -> np.ndarray:
     """The symmetric tridiagonal T as a dense n x n array."""
-    A = np.diag(np.asarray(T.diag, dtype=float))
+    diag, offdiag = T.bands
+    A = np.diag(np.asarray(diag, dtype=float))
     idx = np.arange(T.n - 1)
-    A[idx, idx + 1] = T.offdiag
-    A[idx + 1, idx] = T.offdiag
+    A[idx, idx + 1] = offdiag
+    A[idx + 1, idx] = offdiag
     return A
 
 
-def dense_product_eigs(X_p: SymmetricTridiagonal, X_q: SymmetricTridiagonal) -> np.ndarray:
+def dense_product_eigs(X_p: SymmetricBanded, X_q: SymmetricBanded) -> np.ndarray:
     """All eigenvalues of the dense nonsymmetric product X_p X_q, sorted.
 
     Restricted to n <= 64.  The product of two PSD matrices has real

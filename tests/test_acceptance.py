@@ -116,7 +116,7 @@ def test_criterion_3_sampler_moments():
     acc = np.zeros(n)
     for r in range(reps):
         factor = sample_bidiagonal(EnsembleParams(n=n, kappa=kappa, beta=beta), split_stream(40_001, r))
-        acc += laguerre_matrix(factor).diag
+        acc += laguerre_matrix(factor).bands[0]
     j = np.arange(1, n + 1)
     expected = (kappa - j + 1) + (n - j)
     sigmas = np.abs(acc / reps - expected) / np.sqrt(2.0 * expected / beta / reps)
@@ -176,7 +176,7 @@ def test_criterion_6_airy_self_consistency(tw2_default_batch):
     def noiseless(h):
         N = int(round(12.0 / h))
         A = airy_tridiagonal(math.inf, h, N, None)
-        return tridiag_extreme_eig(A, "smallest", EigConfig(rel_tol=1e-12))
+        return tridiag_extreme_eig(A, EigConfig(rel_tol=1e-12))
 
     lam_01, lam_005 = noiseless(0.01), noiseless(0.005)
     limit = lam_005 + (lam_005 - lam_01) / 3.0

@@ -21,15 +21,14 @@ def _tw_rows(beta, M, seed, **disc):
 def _noiseless_ground(h, L, rel_tol=1e-12):
     N = int(round(L / h))
     A = airy_tridiagonal(math.inf, h, N, None)
-    return tridiag_extreme_eig(A, "smallest", EigConfig(rel_tol=rel_tol))
+    return tridiag_extreme_eig(A, EigConfig(rel_tol=rel_tol))
 
 
 def test_two_by_two_hand_case():
     # h = 1, N = 2, noiseless: [[3, -1], [-1, 4]], smallest eigenvalue (7 - sqrt 5)/2
     A = airy_tridiagonal(math.inf, 1.0, 2, None)
-    assert A.diag.tolist() == [3.0, 4.0]
-    assert A.offdiag.tolist() == [-1.0]
-    lam = tridiag_extreme_eig(A, "smallest", EigConfig(rel_tol=1e-12))
+    assert [band.tolist() for band in A.bands] == [[3.0, 4.0], [-1.0]]
+    lam = tridiag_extreme_eig(A, EigConfig(rel_tol=1e-12))
     assert lam == pytest.approx((7.0 - math.sqrt(5.0)) / 2.0, abs=1e-10)
 
 
@@ -100,8 +99,8 @@ def test_memoized_bands_are_read_only():
     A = airy_tridiagonal(2.0, 0.1, 80, noise)
     diag, offdiag = airy._noiseless_bands(0.1, 80)
     assert not diag.flags.writeable and not offdiag.flags.writeable
-    assert A.offdiag is offdiag
-    assert A.diag.flags.writeable and not np.shares_memory(A.diag, diag)
+    assert A.bands[1] is offdiag
+    assert A.bands[0].flags.writeable and not np.shares_memory(A.bands[0], diag)
     with pytest.raises(ValueError):
         diag[0] = 0.0
 

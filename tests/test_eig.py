@@ -6,8 +6,8 @@ from hypothesis.extra.numpy import arrays
 
 from lagprod import eig
 from lagprod.eig import EigConfig, banded_largest_eig, gershgorin_bounds, tridiag_extreme_eig
-from lagprod.ensemble import EnsembleParams, SymmetricTridiagonal, laguerre_matrix, sample_bidiagonal
-from lagprod.product import SymmetricPentadiagonal, product_similarity
+from lagprod.ensemble import EnsembleParams, SymmetricBanded, laguerre_matrix, sample_bidiagonal
+from lagprod.product import product_similarity
 from lagprod.variates import split_stream
 from oracles import dense_product_eigs, dense_tridiagonal
 
@@ -17,33 +17,33 @@ FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None
 
 def _diag_matrix(values):
     values = np.asarray(values, dtype=float)
-    return SymmetricTridiagonal(diag=values, offdiag=np.zeros(len(values) - 1))
+    return SymmetricBanded((values, np.zeros(len(values) - 1)))
 
 
 def _random_tridiag(rng, n):
-    return SymmetricTridiagonal(diag=rng.normal(size=n), offdiag=rng.normal(size=n - 1))
+    return SymmetricBanded((rng.normal(size=n), rng.normal(size=n - 1)))
 
 
 def _allowed_error(A, rel_tol):
-    """Solver certificate rel_tol * Gershgorin diameter, plus 4 n eps ||A||_1 of rounding.
+    """Solver certificate rel_tol * Gershgorin diameter, plus 4 n eps ||A||_1 of rounding
+    and n subnormal units of underflow (a matrix of subnormal entries).
 
     Computed from the dense matrix, independently of the solvers' own bounds.
     """
     d = np.diag(A)
     r = np.abs(A).sum(axis=1) - np.abs(d)
     diameter = (d + r).max() - (d - r).min()
-    return rel_tol * diameter + 4 * len(A) * EPS * np.abs(A).sum(axis=0).max()
+    rounding = 4 * len(A) * EPS * np.abs(A).sum(axis=0).max() + len(A) * np.finfo(float).smallest_subnormal
+    return rel_tol * diameter + rounding
 
 
 def test_bisection_examples():
-    assert tridiag_extreme_eig(_diag_matrix([1.0, 2.0, 3.0]), "smallest") == pytest.approx(1.0, abs=1e-9)
-    T = SymmetricTridiagonal(diag=np.array([2.0, 2.0]), offdiag=np.array([1.0]))
+    assert tridiag_extreme_eig(_diag_matrix([1.0, 2.0, 3.0])) == pytest.approx(1.0, abs=1e-9)
+    T = SymmetricBanded((np.array([2.0, 2.0]), np.array([1.0])))
     # 2x2 characteristic polynomial: eigenvalues 2 +- 1
-    assert tridiag_extreme_eig(T, "largest") == pytest.approx(3.0, abs=1e-9)
-    assert tridiag_extreme_eig(T, "smallest") == pytest.approx(1.0, abs=1e-9)
-    assert tridiag_extreme_eig(_diag_matrix(np.ones(50)), "largest") == pytest.approx(1.0, abs=1e-9)
-    for which in ("smallest", "largest"):
-        assert tridiag_extreme_eig(_diag_matrix([-4.5]), which) == -4.5
+    assert tridiag_extreme_eig(T) == pytest.approx(1.0, abs=1e-9)
+    assert tridiag_extreme_eig(_diag_matrix(np.ones(50))) == pytest.approx(1.0, abs=1e-9)
+    assert tridiag_extreme_eig(_diag_matrix([-4.5])) == -4.5
 
 
 def test_bisection_matches_dense_oracle():
@@ -52,17 +52,14 @@ def test_bisection_matches_dense_oracle():
         T = _random_tridiag(rng, int(rng.integers(2, 33)))
         ev = np.linalg.eigvalsh(dense_tridiagonal(T))
         scale = max(1.0, abs(ev).max())
-        assert abs(tridiag_extreme_eig(T, "smallest") - ev[0]) < 1e-8 * scale
-        assert abs(tridiag_extreme_eig(T, "largest") - ev[-1]) < 1e-8 * scale
+        assert abs(tridiag_extreme_eig(T) - ev[0]) < 1e-8 * scale
 
 
 def test_bisection_nonfinite_entry_gives_nan():
-    T = SymmetricTridiagonal(diag=np.array([1.0, np.nan, 3.0]), offdiag=np.array([0.5, 0.5]))
-    U = SymmetricTridiagonal(diag=np.array([1.0, 2.0, 3.0]), offdiag=np.array([0.5, np.inf]))
-    for A in (T, U):
-        for which in ("smallest", "largest"):
-            assert np.isnan(tridiag_extreme_eig(A, which))
-    assert np.isnan(tridiag_extreme_eig(_diag_matrix([np.inf]), "largest"))
+    T = SymmetricBanded((np.array([1.0, np.nan, 3.0]), np.array([0.5, 0.5])))
+    U = SymmetricBanded((np.array([1.0, 2.0, 3.0]), np.array([0.5, np.inf])))
+    for A in (T, U, _diag_matrix([np.inf])):
+        assert np.isnan(tridiag_extreme_eig(A))
 
 
 def test_bisection_matches_scipy_wrapper_bit_for_bit():
@@ -73,21 +70,13 @@ def test_bisection_matches_scipy_wrapper_bit_for_bit():
     cfg = EigConfig(rel_tol=1e-10)
     for _ in range(300):
         n = int(rng.integers(1, 40))
-        T = SymmetricTridiagonal(diag=rng.normal(size=n) * 10.0 ** rng.integers(-5, 6),
-                                 offdiag=rng.normal(size=n - 1))
-        m = max(np.abs(T.diag).max(), np.abs(T.offdiag).max(initial=0.0))
+        T = SymmetricBanded((rng.normal(size=n) * 10.0 ** rng.integers(-5, 6), rng.normal(size=n - 1)))
+        m = max(np.abs(T.bands[0]).max(), np.abs(T.bands[1]).max(initial=0.0))
         s = 2.0 ** np.frexp(m)[1]
-        diag, offdiag = T.diag / s, T.offdiag / s
+        diag, offdiag = T.bands[0] / s, T.bands[1] / s
         lo, hi = gershgorin_bounds(diag, offdiag)
-        for which, k in (("smallest", 0), ("largest", n - 1)):
-            w = eigvalsh_tridiagonal(diag, offdiag, select="i", select_range=(k, k),
-                                     tol=cfg.rel_tol * (hi - lo))
-            assert tridiag_extreme_eig(T, which, cfg) == s * w[0]
-
-
-def test_bisection_which_validation():
-    with pytest.raises(ValueError):
-        tridiag_extreme_eig(_diag_matrix([1.0]), "middle")
+        w = eigvalsh_tridiagonal(diag, offdiag, select="i", select_range=(0, 0), tol=cfg.rel_tol * (hi - lo))
+        assert tridiag_extreme_eig(T, cfg) == s * w[0]
 
 
 def test_eig_config_validation():
@@ -99,13 +88,13 @@ def test_eig_config_validation():
 
 def test_banded_identity_and_diagonal():
     n = 20
-    I = SymmetricPentadiagonal(diag=np.ones(n), off1=np.zeros(n - 1), off2=np.zeros(n - 2))
+    I = SymmetricBanded((np.ones(n), np.zeros(n - 1), np.zeros(n - 2)))
     assert banded_largest_eig(I) == pytest.approx(1.0, abs=1e-9)
-    D = SymmetricPentadiagonal(diag=np.arange(1.0, 6.0), off1=np.zeros(4), off2=np.zeros(3))
+    D = SymmetricBanded((np.arange(1.0, 6.0), np.zeros(4), np.zeros(3)))
     assert banded_largest_eig(D) == pytest.approx(5.0, abs=1e-9)
-    scalar = SymmetricPentadiagonal(diag=np.array([3.0]), off1=np.zeros(0), off2=np.zeros(0))
+    scalar = SymmetricBanded((np.array([3.0]), np.zeros(0), np.zeros(0)))
     assert banded_largest_eig(scalar) == 3.0
-    pair = SymmetricPentadiagonal(diag=np.array([2.0, 2.0]), off1=np.array([1.0]), off2=np.zeros(0))
+    pair = SymmetricBanded((np.array([2.0, 2.0]), np.array([1.0]), np.zeros(0)))
     assert banded_largest_eig(pair) == pytest.approx(3.0, abs=1e-9)
 
 
@@ -132,10 +121,10 @@ def _bands(*offsets):
 def test_banded_gershgorin_consistency(bands, rel_tol):
     # indefinite matrices: the largest eigenvalue dominates the largest
     # diagonal entry (a Rayleigh quotient) and matches the dense oracle
-    S = SymmetricPentadiagonal(*bands)
+    S = SymmetricBanded(bands)
     A = S.dense()
     lam = banded_largest_eig(S, EigConfig(rel_tol=rel_tol))
-    assert lam >= S.diag.max() - _allowed_error(A, rel_tol)
+    assert lam >= bands[0].max() - _allowed_error(A, rel_tol)
     assert abs(lam - np.linalg.eigvalsh(A)[-1]) <= _allowed_error(A, rel_tol)
 
 
@@ -202,7 +191,7 @@ def test_edge_solve_doubles_block_up_to_n(lapack_calls):
     # every leading block fails the certificate and the solver bisects
     n, rel_tol = 200, 1e-10
     rng = np.random.default_rng(61)
-    S = SymmetricPentadiagonal(np.arange(float(n)), 0.1 * rng.normal(size=n - 1), 0.1 * rng.normal(size=n - 2))
+    S = SymmetricBanded((np.arange(float(n)), 0.1 * rng.normal(size=n - 1), 0.1 * rng.normal(size=n - 2)))
     A = S.dense()
     lam = banded_largest_eig(S, EigConfig(rel_tol=rel_tol))
     assert abs(lam - np.linalg.eigvalsh(A)[-1]) <= _allowed_error(A, rel_tol / 2)
@@ -218,7 +207,7 @@ def test_edge_solve_doubles_block_once(lapack_calls):
     rng = np.random.default_rng(62)
     diag = rng.normal(size=n)
     diag[k + 5] = 20.0
-    S = SymmetricPentadiagonal(diag, 0.1 * rng.normal(size=n - 1), 0.1 * rng.normal(size=n - 2))
+    S = SymmetricBanded((diag, 0.1 * rng.normal(size=n - 1), 0.1 * rng.normal(size=n - 2)))
     A = S.dense()
     lam = banded_largest_eig(S, EigConfig(rel_tol=rel_tol))
     assert abs(lam - np.linalg.eigvalsh(A)[-1]) <= _allowed_error(A, rel_tol / 2)
@@ -242,12 +231,61 @@ def test_edge_solve_bisects_when_h_is_below_rounding(lapack_calls):
 @FUZZ
 @given(bands=_bands(0, 1), rel_tol=st.sampled_from([1e-12, 1e-10, 1e-6, 1e-2]))
 def test_tridiag_extremes_certificate(bands, rel_tol):
-    T = SymmetricTridiagonal(diag=bands[0], offdiag=bands[1])
+    T = SymmetricBanded(bands)
     A = dense_tridiagonal(T)
     ev = np.linalg.eigvalsh(A)
-    lo, hi = gershgorin_bounds(T.diag, T.offdiag)
+    lo, hi = gershgorin_bounds(*bands)
     slack = _allowed_error(A, 0.0)  # rounding in eigvalsh and in the bounds
     assert lo - slack <= ev[0] and ev[-1] <= hi + slack
     cfg = EigConfig(rel_tol=rel_tol)
-    assert abs(tridiag_extreme_eig(T, "smallest", cfg) - ev[0]) <= _allowed_error(A, rel_tol)
-    assert abs(tridiag_extreme_eig(T, "largest", cfg) - ev[-1]) <= _allowed_error(A, rel_tol)
+    assert abs(tridiag_extreme_eig(T, cfg) - ev[0]) <= _allowed_error(A, rel_tol)
+    assert abs(banded_largest_eig(T, cfg) - ev[-1]) <= _allowed_error(A, rel_tol / 2)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-10, 1e-6])
+@pytest.mark.parametrize("n,p,beta,reps", [(6, 8, 2.0, 20), (50, 60, 0.37, 10), (400, 1600, 0.5, 4)])
+def test_edge_solve_on_laguerre_matrices(n, p, beta, reps, rel_tol, lapack_calls):
+    # bandwidth 1 (single mode), p != n, non-integer beta: within rel_tol * D / 2
+    # of the dense eigenvalue, the first block certifying without bisection
+    for r in range(reps):
+        X = laguerre_matrix(sample_bidiagonal(EnsembleParams(n=n, kappa=p, beta=beta), split_stream(7000 + n, r)))
+        A = dense_tridiagonal(X)
+        for log in lapack_calls.values():
+            log.clear()
+        lam = banded_largest_eig(X, EigConfig(rel_tol=rel_tol))
+        assert abs(lam - np.linalg.eigvalsh(A)[-1]) <= _allowed_error(A, rel_tol / 2)
+        if _first_block(n) < n:  # otherwise the solver bisects the whole matrix
+            assert lapack_calls["dsbevx"][0] == _first_block(n)
+            assert len(lapack_calls["dpbtrf"]) <= 2 * len(lapack_calls["dsbevx"])
+
+
+def test_edge_solve_at_bandwidth_one_grows_the_block(lapack_calls):
+    # tridiagonal with an increasing diagonal: the top eigenvector sits in the
+    # trailing rows, below every leading block, so the solver ends in bisection
+    n, rel_tol = 200, 1e-10
+    rng = np.random.default_rng(64)
+    T = SymmetricBanded((np.arange(float(n)), 0.1 * rng.normal(size=n - 1)))
+    A = dense_tridiagonal(T)
+    lam = banded_largest_eig(T, EigConfig(rel_tol=rel_tol))
+    assert abs(lam - np.linalg.eigvalsh(A)[-1]) <= _allowed_error(A, rel_tol / 2)
+    k = _first_block(n)
+    assert lapack_calls["dsbevx"] == [k, 2 * k]
+    assert len(lapack_calls["dpbtrf"]) >= np.ceil(-np.log2(rel_tol))
+
+
+def test_banded_subnormal_matrix_within_one_underflow_unit():
+    # rel_tol * D / 2 underflows to 0 here; the bisection still lands within a subnormal
+    tiny = np.finfo(float).smallest_subnormal
+    for bands in ((np.zeros(2), np.array([tiny])), (np.zeros(3), np.array([tiny, 0.0]), np.zeros(1))):
+        assert abs(banded_largest_eig(SymmetricBanded(bands), EigConfig(rel_tol=1e-12)) - tiny) <= tiny
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_banded_nonfinite_entry_gives_nan(bad):
+    # a single sweep records such a matrix as a failed replicate, so no exception
+    rng = np.random.default_rng(65)
+    for kd in (1, 2):
+        for band in range(kd + 1):
+            bands = [rng.normal(size=30 - k) for k in range(kd + 1)]
+            bands[band][7] = bad
+            assert np.isnan(banded_largest_eig(SymmetricBanded(tuple(bands))))

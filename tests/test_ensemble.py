@@ -3,10 +3,9 @@ import pytest
 from scipy.special import gammaln
 
 from lagprod import ensemble
-from lagprod.eig import EigConfig, gershgorin_bounds, tridiag_extreme_eig
+from lagprod.eig import EigConfig, banded_largest_eig, gershgorin_bounds, tridiag_extreme_eig
 from lagprod.ensemble import (
     EnsembleParams,
-    SymmetricTridiagonal,
     laguerre_matrix,
     potential_path,
     sample_bidiagonal,
@@ -72,7 +71,7 @@ def test_sample_determinism():
 def test_laguerre_n1_is_scalar_square():
     factor = sample_bidiagonal(EnsembleParams(n=1, kappa=4, beta=3.0), split_stream(1, 0))
     X = laguerre_matrix(factor)
-    assert X.diag[0] == pytest.approx(factor.diag[0] ** 2 / 3.0, rel=1e-15)
+    assert X.bands[0][0] == pytest.approx(factor.diag[0] ** 2 / 3.0, rel=1e-15)
 
 
 @pytest.mark.parametrize("n,kappa,beta", [(4, 4, 1.0), (4, 7, 2.0), (8, 11, 0.5)])
@@ -92,7 +91,7 @@ def test_laguerre_dense_oracle_many_instances():
         )
         X = laguerre_matrix(factor)
         B = dense_bidiagonal(factor)
-        assert np.abs(dense_tridiagonal(X) - B.T @ B / factor.beta).max() < 1e-12 * max(1.0, X.diag.max())
+        assert np.abs(dense_tridiagonal(X) - B.T @ B / factor.beta).max() < 1e-12 * max(1.0, X.bands[0].max())
 
 
 def test_laguerre_diagonal_means():
@@ -101,7 +100,7 @@ def test_laguerre_diagonal_means():
     acc = np.zeros(n)
     for r in range(M):
         factor = sample_bidiagonal(EnsembleParams(n=n, kappa=kappa, beta=beta), split_stream(1717, r))
-        acc += laguerre_matrix(factor).diag
+        acc += laguerre_matrix(factor).bands[0]
     j = np.arange(1, n + 1)
     expected = (kappa - j + 1) + (n - j)
     se = np.sqrt(2.0 * expected / beta / M)
@@ -117,9 +116,9 @@ def test_ensemble_psd_sturm_invariant():
         beta = float(rng.choice([0.5, 1.0, 2.0, 4.0]))
         factor = sample_bidiagonal(EnsembleParams(n=n, kappa=kappa, beta=beta), split_stream(31337, k))
         X = laguerre_matrix(factor)
-        lo, hi = gershgorin_bounds(X.diag, X.offdiag)
+        lo, hi = gershgorin_bounds(*X.bands)
         # within the solver certificate of the Sturm bisection
-        assert tridiag_extreme_eig(X, "smallest") >= -EigConfig().rel_tol * (hi - lo)
+        assert tridiag_extreme_eig(X) >= -EigConfig().rel_tol * (hi - lo)
 
 
 def test_single_matrix_strong_law():
@@ -128,7 +127,7 @@ def test_single_matrix_strong_law():
     ratios = []
     for r in range(200):
         factor = sample_bidiagonal(EnsembleParams(n=n, kappa=n, beta=1.0), split_stream(707, r))
-        lam = tridiag_extreme_eig(laguerre_matrix(factor), "largest")
+        lam = banded_largest_eig(laguerre_matrix(factor))
         ratios.append(lam / (2.0 * np.sqrt(n)) ** 2)
     assert 0.9 < np.mean(ratios) < 1.02
 
@@ -159,8 +158,8 @@ def test_potential_path_starts_at_zero_and_first_increment():
     factor = sample_bidiagonal(EnsembleParams(n=n, kappa=i, beta=beta), split_stream(4, 0))
     s = single_scaling(n, i)
     path = potential_path(factor, s)
-    X = laguerre_matrix(factor)
-    first = (s.mu - (X.diag[0] + 2.0 * X.offdiag[0])) * s.m / np.sqrt(float(n) * i)
+    diag, offdiag = laguerre_matrix(factor).bands
+    first = (s.mu - (diag[0] + 2.0 * offdiag[0])) * s.m / np.sqrt(float(n) * i)
     assert path[0] == pytest.approx(first, rel=1e-15)
     grid = mean_potential_path(ExperimentConfig(mode="potential", n=n, p=i, beta=beta, reps=1, seed=4))["x"]
     assert grid[0] == pytest.approx(1.0 / s.m, rel=1e-15)

@@ -19,7 +19,7 @@ from click.testing import CliRunner
 
 from lagprod import harness
 from lagprod.cli import main as cli_main
-from lagprod.eig import EigConfig, banded_largest_eig
+from lagprod.eig import EigConfig, banded_largest_eig, gershgorin_bounds
 from lagprod.ensemble import EnsembleParams, laguerre_matrix, sample_bidiagonal
 from lagprod.harness import (
     ConfigError,
@@ -249,7 +249,7 @@ def test_single_sweep_records_nonfinite_matrices_as_failures(tmp_path, monkeypat
         X = real(factor)
         calls["count"] += 1
         if calls["count"] % 3 == 0:
-            X.diag[1] = math.nan
+            X.bands[0][1] = math.nan
         return X
 
     monkeypatch.setattr(harness, "laguerre_matrix", poisoned)
@@ -494,19 +494,54 @@ def test_benchmark_span_targets_resolve_and_see_every_replicate(tmp_path, monkey
     assert counts["rep"] == 3
     assert counts["ensemble.sample_bidiagonal"] == 2 * 3
     assert counts["eig.banded_largest_eig"] == 3
+    # single mode takes the product's certified solve; dstebz is Airy's alone
+    counts.clear()
+    run_experiment(ExperimentConfig(mode="single", n=6, p=8, reps=5, seed=1, out=tmp_path))
+    assert counts["ensemble.laguerre_matrix"] == counts["eig.banded_largest_eig"] == 5
+    assert "eig.tridiag_extreme_eig" not in counts
 
 
 def test_single_mode_statistic(tmp_path):
     config = ExperimentConfig(mode="single", n=8, p=10, beta=2.0, reps=4, seed=21, out=tmp_path)
     _, report = run_experiment(config)
-    from lagprod.eig import tridiag_extreme_eig
     from lagprod.scaling import single_scaling
 
     s = single_scaling(8, 10)
     stream = split_stream(21, 2)
     B = sample_bidiagonal(EnsembleParams(n=8, kappa=10, beta=2.0), stream)
-    lam = tridiag_extreme_eig(laguerre_matrix(B), "largest")
+    lam = banded_largest_eig(laguerre_matrix(B))
     assert read_batch_csv(report["artifacts"]["samples_csv"]["path"]).values[2] == (lam - s.mu) / s.sigma
+
+
+def test_product_golden_values():
+    # recorded before single mode moved onto the edge solve; the product path is unchanged
+    rows = sweep(ExperimentConfig(mode="product", n=64, p=96, q=160, beta=0.5, reps=3, seed=1206))
+    assert rows.tolist() == [-1.499146695847465, -2.479613181543938, -2.2630507302764125]
+
+
+def test_single_golden_values_within_solver_bound():
+    # dstebz values recorded before single mode moved onto the edge solve: the
+    # two certificates (rel_tol * D and rel_tol * D / 2) allow 1.5 rel_tol * D apart
+    n, p, beta, seed = 400, 400, 2.0, 1206
+    config = ExperimentConfig(mode="single", n=n, p=p, beta=beta, reps=3, seed=seed)
+    golden = [-2.646770165746173, -0.977371823992353, -2.786754300950165]
+    rel_tol, sigma = config.eig_config().rel_tol, config.constants.sigma
+    for r, (value, old) in enumerate(zip(sweep(config), golden)):
+        X = laguerre_matrix(sample_bidiagonal(EnsembleParams(n=n, kappa=p, beta=beta), split_stream(seed, r)))
+        lo, hi = gershgorin_bounds(*X.bands)
+        bound = 1.5 * rel_tol * (hi - lo) + 4 * n * np.finfo(float).eps * X.one_norm()
+        assert abs(value - old) <= bound / sigma
+
+
+def test_run_experiment_rejects_potential_mode_before_sweeping(tmp_path, monkeypatch):
+    def no_sweep(config):
+        raise AssertionError("a potential config must be rejected before its sweep")
+
+    monkeypatch.setattr(harness, "sweep", no_sweep)
+    config = ExperimentConfig(mode="potential", n=6, p=8, reps=2, out=tmp_path)
+    with pytest.raises(ConfigError, match="mean_potential_path.*diagnose-potential"):
+        run_experiment(config)
+    assert not list(tmp_path.iterdir())
 
 
 def test_mean_potential_path_shapes_and_reference():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from lagprod.ensemble import BidiagonalFactor, EnsembleParams, SymmetricTridiagonal, laguerre_matrix, sample_bidiagonal
+from lagprod.ensemble import BidiagonalFactor, EnsembleParams, SymmetricBanded, laguerre_matrix, sample_bidiagonal
 from lagprod.product import product_similarity
 from lagprod.variates import split_stream
 from oracles import dense_bidiagonal, dense_product_eigs, dense_tridiagonal
@@ -19,7 +19,7 @@ def _sampled_pair(n, p, q, beta, seed):
 def test_identity_factor_collapses_to_single_matrix():
     n = 6
     _, B_q = _sampled_pair(n, n + 2, n + 3, 2.0, 10)
-    identity = SymmetricTridiagonal(diag=np.ones(n), offdiag=np.zeros(n - 1))
+    identity = SymmetricBanded((np.ones(n), np.zeros(n - 1)))
     S = product_similarity(B_q, identity)
     X_q = laguerre_matrix(B_q)
     ev_S = np.sort(np.linalg.eigvalsh(S.dense()))
@@ -31,7 +31,7 @@ def test_scalar_case_is_plain_product():
     B_p, B_q = _sampled_pair(1, 3, 5, 1.5, 11)
     X_p, X_q = laguerre_matrix(B_p), laguerre_matrix(B_q)
     S = product_similarity(B_q, X_p)
-    assert S.diag[0] == pytest.approx(X_p.diag[0] * X_q.diag[0], rel=1e-14)
+    assert S.bands[0][0] == pytest.approx(X_p.bands[0][0] * X_q.bands[0][0], rel=1e-14)
 
 
 def test_similarity_matches_dense_product_oracle():
@@ -68,10 +68,10 @@ def test_spectrum_preservation_invariant():
 
 
 def test_dense_oracle_identity_and_diagonal():
-    identity = SymmetricTridiagonal(diag=np.ones(3), offdiag=np.zeros(2))
+    identity = SymmetricBanded((np.ones(3), np.zeros(2)))
     assert np.allclose(dense_product_eigs(identity, identity), 1.0)
-    X_p = SymmetricTridiagonal(diag=np.array([1.0, 2.0]), offdiag=np.zeros(1))
-    X_q = SymmetricTridiagonal(diag=np.array([3.0, 4.0]), offdiag=np.zeros(1))
+    X_p = SymmetricBanded((np.array([1.0, 2.0]), np.zeros(1)))
+    X_q = SymmetricBanded((np.array([3.0, 4.0]), np.zeros(1)))
     assert dense_product_eigs(X_p, X_q).tolist() == [3.0, 8.0]
 
 
@@ -80,7 +80,7 @@ def test_dense_oracle_real_spectrum_and_size_limit():
     X_p, X_q = laguerre_matrix(B_p), laguerre_matrix(B_q)
     w = scipy.linalg.eig(dense_tridiagonal(X_p) @ dense_tridiagonal(X_q), right=False)
     assert np.abs(w.imag).max() < 1e-8
-    big = SymmetricTridiagonal(diag=np.ones(65), offdiag=np.zeros(64))
+    big = SymmetricBanded((np.ones(65), np.zeros(64)))
     with pytest.raises(ValueError):
         dense_product_eigs(big, big)
 
@@ -102,7 +102,7 @@ def test_degenerate_factor_keeps_product_spectrum():
 def test_size_mismatch_rejected():
     _, B_q = _sampled_pair(4, 5, 6, 1.0, 15)
     with pytest.raises(ValueError):
-        product_similarity(B_q, SymmetricTridiagonal(diag=np.ones(5), offdiag=np.zeros(4)))
+        product_similarity(B_q, SymmetricBanded((np.ones(5), np.zeros(4))))
 
 
 def test_construction_touches_only_bands_and_stays_fast():
@@ -119,5 +119,5 @@ def test_construction_touches_only_bands_and_stays_fast():
         t0 = time.perf_counter()
         S = product_similarity(factor, X)
         elapsed = time.perf_counter() - t0
-        assert (len(S.diag), len(S.off1), len(S.off2)) == (n, n - 1, n - 2)
+        assert [len(band) for band in S.bands] == [n, n - 1, n - 2]
         assert elapsed < 1.0
