@@ -13,8 +13,10 @@ from pathlib import Path
 import click
 
 from .harness import (
+    VERSIONS,
     ConfigError,
     compare_batches,
+    json_text,
     mean_potential_path,
     resolve_config,
     run_experiment,
@@ -135,9 +137,7 @@ def constants(n, p, q, beta):
     except ValueError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
-    import json
-
-    click.echo(json.dumps(report, indent=2, sort_keys=True))
+    click.echo(json_text(report), nl=False)
 
 
 @main.command("diagnose-potential")
@@ -163,6 +163,7 @@ def diagnose_potential(n, p, beta, reps, seed, out, workers):
     sup = float(abs(result["mean"] - result["reference"]).max())
     write_json(out / "potential-report.json",
                {"n": n, "p": p, "beta": beta, "reps": reps, "seed": seed, "tape": TAPE,
+                "versions": dict(VERSIONS),
                 "sup_abs_deviation": sup, "csv": str(csv_path)})
     click.echo(f"wrote {csv_path}")
     click.echo(f"sup |mean - x^2/2| over the full grid: {sup:.4f}")

@@ -37,10 +37,14 @@ Persistence formats:
   header, then one row per replicate in replicate order.  Floats are
   serialized with repr (shortest round-trip); failed replicates (a
   non-finite solve) are recorded as ``nan``, never filled.
-* reports: JSON with fixed keys, including the RNG ``tape`` version and the
-  ``versions`` of python, numpy, scipy and numba, referencing artifact paths
-  together with their sha256 checksums.  :func:`run_experiment` returns the
-  report dict it writes, and :func:`compare_batches` the KS payload.
+* reports: JSON with fixed keys (:func:`json_text`), including the RNG
+  ``tape`` version and the ``versions`` of python, numpy, scipy and numba,
+  referencing artifact paths together with their sha256 checksums.
+  :func:`run_experiment` returns the report dict it writes, and
+  :func:`compare_batches` the KS payload.
+
+Every artifact is rewritten in place (:func:`_write`): a rerun into the same
+directory writes the same bytes as a fresh one and leaves no stale tail.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ import os
 import platform
 import time
 import traceback
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
 
@@ -131,7 +135,7 @@ class ExperimentConfig:
                 constants = single_scaling(self.n, self.p)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        object.__setattr__(self, "constants", constants)  # not a field, so not in asdict()
+        object.__setattr__(self, "constants", constants)  # not a field, so not in the report's config
 
     def eig_config(self) -> EigConfig:
         return EigConfig(rel_tol=self.tol) if self.tol is not None else EigConfig()
@@ -308,6 +312,22 @@ def _parse_value(s: str):
     return s
 
 
+def _write(path: Path, data: bytes) -> None:
+    """Rewrite ``path`` with ``data`` in place, cutting off any longer old tail.
+
+    Truncating an existing file to empty before writing it frees its blocks, which can
+    cost more than the write; overwriting, then truncating to the new length, does not.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def write_batch_csv(path: Path, label: str, params: dict, rows: np.ndarray) -> str:
     """Write replicate-ordered rows with a ``# key=value`` metadata block; returns their sha256."""
     lines = [f"# label={label}"]
@@ -315,7 +335,7 @@ def write_batch_csv(path: Path, label: str, params: dict, rows: np.ndarray) -> s
     lines.append("replicate,value")
     lines += [f"{r},{repr(float(v))}" for r, v in enumerate(rows)]
     data = ("\n".join(lines) + "\n").encode("utf-8")
-    path.write_bytes(data)
+    _write(path, data)
     return hashlib.sha256(data).hexdigest()
 
 
@@ -361,18 +381,28 @@ def _finite_rows(rows: np.ndarray, source: Path) -> np.ndarray:
     return finite
 
 
+def json_text(payload: dict) -> str:
+    """The one text form of every report: sorted keys, two-space indent, a final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write(path, json_text(payload).encode("utf-8"))
 
 
 # --- experiment pipeline ----------------------------------------------------
 
 
+def _field_dict(dc) -> dict:
+    """A dataclass's fields by name, values as they are (``asdict`` deep-copies each one)."""
+    return {f.name: getattr(dc, f.name) for f in fields(dc)}
+
+
 def scaling_report(sc: ScalingConstants) -> dict:
     """Every product constant plus the printed closed forms and their status."""
-    report = asdict(sc)
+    report = _field_dict(sc)
     # each factor's m, mu and sigma; its n and ladder parameter are the report's n, p and q
-    report["per_matrix"] = {k: {f: s[f] for f in ("m", "mu", "sigma")}
+    report["per_matrix"] = {k: {f: getattr(s, f) for f in ("m", "mu", "sigma")}
                             for k, s in (("p", report.pop("sp")), ("q", report.pop("sq")))}
     cf_cn = closed_form_cn(sc.n, sc.p, sc.q)
     cf_Cn = closed_form_Cn(sc.n, sc.p, sc.q)
@@ -401,7 +431,7 @@ def _sample_params(config: ExperimentConfig) -> tuple[dict, dict | None]:
         return params, scaling_report(c)
     if config.mode == "single":
         params.update(n=c.n, p=c.i, generator="laguerre-single")
-        return params, asdict(c)
+        return params, _field_dict(c)
     params.update(mesh=c.h, cutoff=c.L, generator="stochastic-airy")
     return params, None
 
@@ -428,7 +458,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[Path, dict]:
     report = {
         "tape": TAPE,
         "versions": dict(VERSIONS),
-        "config": asdict(config) | {"out": str(config.out), "tol": config.eig_config().rel_tol},
+        "config": _field_dict(config) | {"out": str(config.out), "tol": config.eig_config().rel_tol},
         "constants": constants,
         "moments": mom,
         "failures": failures,
@@ -445,6 +475,7 @@ def compare_batches(path_a: Path | str, path_b: Path | str, out: Path | str | No
     a = read_batch_csv(path_a)
     b = read_batch_csv(path_b)
     payload = ks_two_sample(a.values, b.values) | {
+        "versions": dict(VERSIONS),
         "batch_a": {"path": str(path_a), "label": a.label, "params": a.params},
         "batch_b": {"path": str(path_b), "label": b.label, "params": b.params},
     }
@@ -477,4 +508,4 @@ def write_potential_csv(path: Path, result: dict[str, np.ndarray]) -> None:
         lines.append(
             ",".join(repr(float(result[col][k])) for col in ("x", "mean", "stderr", "reference"))
         )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write(path, ("\n".join(lines) + "\n").encode("utf-8"))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -230,6 +230,8 @@ def test_edge_solve_bisects_when_h_is_below_rounding(lapack_calls):
 
 @FUZZ
 @given(bands=_bands(0, 1), rel_tol=st.sampled_from([1e-12, 1e-10, 1e-6, 1e-2]))
+# rel_tol * D / 2 underflows to 0 here; pinned so it runs under every test selection and order
+@example(bands=(np.array([0.0, 0.0]), np.array([5e-324])), rel_tol=1e-10)
 def test_tridiag_extremes_certificate(bands, rel_tol):
     T = SymmetricBanded(bands)
     A = dense_tridiagonal(T)

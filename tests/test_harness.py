@@ -146,7 +146,8 @@ def test_compare_self_is_zero(tmp_path):
     assert payload["n_a"] == payload["n_b"] == 16
     assert payload["batch_a"]["params"]["beta"] == 2.0
     written = json.loads((tmp_path / "ks-report.json").read_text())
-    assert written.keys() == {"D", "p_value", "n_a", "n_b", "batch_a", "batch_b"}
+    assert written.keys() == {"D", "p_value", "n_a", "n_b", "versions", "batch_a", "batch_b"}
+    assert written["versions"] == harness.VERSIONS
     assert written == payload
 
 
@@ -216,6 +217,65 @@ def test_product_report_constants_match_cli(tmp_path):
     printed = CliRunner().invoke(cli_main, ["constants", "--n", "6", "--p", "7", "--q", "9", "--beta", "0.5"])
     assert printed.exit_code == 0
     assert json.loads(printed.output) == json.loads(report_path.read_text())["constants"]
+    # the same text form as the reports; click.echo adds the final newline
+    assert printed.output == json.dumps(scaling_report(coupled_scaling(6, 7, 9, 0.5)),
+                                        indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("args", [(6, 7, 9, 0.5), (4, 9, 9, 2.0)])
+def test_scaling_report_matches_asdict(args):
+    sc = coupled_scaling(*args)
+    expected = dataclasses.asdict(sc)
+    expected["per_matrix"] = {k: {f: s[f] for f in ("m", "mu", "sigma")}
+                              for k, s in (("p", expected.pop("sp")), ("q", expected.pop("sq")))}
+    report = scaling_report(sc)
+    assert {k: report[k] for k in expected} == expected
+    assert report.keys() - expected.keys() == {"closed_form_cn", "closed_form_cn_note",
+                                               "closed_form_Cn", "closed_form_Cn_note"}
+
+
+@pytest.mark.parametrize("mode,sizes,tol", [("single", dict(n=6, p=9), None),
+                                            ("product", dict(n=6, p=7, q=9), 1e-8)])
+def test_report_config_and_single_constants_match_asdict(tmp_path, mode, sizes, tol):
+    config = ExperimentConfig(mode=mode, beta=1.5, reps=3, seed=2, out=tmp_path, tol=tol, **sizes)
+    _, report = run_experiment(config)
+    assert report["config"] == dataclasses.asdict(config) | {
+        "out": str(tmp_path), "tol": 1e-10 if tol is None else tol}
+    if mode == "single":
+        assert report["constants"] == dataclasses.asdict(config.constants)
+
+
+def _without_paths_and_timing(report: dict) -> dict:
+    return report | {"timing": None, "config": report["config"] | {"out": None},
+                     "artifacts": {k: v | {"path": None} for k, v in report["artifacts"].items()}}
+
+
+def test_rerun_into_the_same_directory_leaves_no_stale_tail(tmp_path):
+    long = ExperimentConfig(mode="product", n=6, p=7, q=9, beta=0.5, reps=40, seed=5,
+                            out=tmp_path / "reused")
+    run_experiment(long)
+    short = dataclasses.replace(long, reps=3)
+    reused_path, reused = run_experiment(short)
+    fresh_path, fresh = run_experiment(dataclasses.replace(short, out=tmp_path / "fresh"))
+    assert ((tmp_path / "reused" / "product-samples.csv").read_bytes()
+            == (tmp_path / "fresh" / "product-samples.csv").read_bytes())
+    assert reused_path.read_text() == harness.json_text(reused)
+    assert fresh_path.read_text() == harness.json_text(fresh)
+    assert _without_paths_and_timing(reused) == _without_paths_and_timing(fresh)
+
+
+def test_potential_rerun_into_the_same_directory_leaves_no_stale_tail(tmp_path):
+    runner = CliRunner()
+    for n, out in (("40", "reused"), ("6", "reused"), ("6", "fresh")):
+        res = runner.invoke(cli_main, ["diagnose-potential", "--n", n, "--p", "40", "--reps", "4",
+                                       "--seed", "3", "--out", str(tmp_path / out)])
+        assert res.exit_code == 0, res.output
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    assert (reused / "potential-path.csv").read_bytes() == (fresh / "potential-path.csv").read_bytes()
+    reports = [json.loads((d / "potential-report.json").read_text()) | {"csv": None}
+               for d in (reused, fresh)]
+    assert reports[0] == reports[1]
+    assert reports[0]["n"] == 6
 
 
 def test_failed_replicates_recorded_not_filled(tmp_path, monkeypatch):
@@ -621,7 +681,9 @@ def test_cli_diagnose_potential(tmp_path):
     lines = (tmp_path / "potential-path.csv").read_text().splitlines()
     assert lines[0] == "x,mean,stderr,reference"
     assert len(lines) == 10  # header + n-1 grid rows
-    assert json.loads((tmp_path / "potential-report.json").read_text())["tape"] == 2
+    report = json.loads((tmp_path / "potential-report.json").read_text())
+    assert report["tape"] == 2
+    assert report["versions"] == harness.VERSIONS
 
     # the same checks as the sampling commands: exit 2, nothing written
     for args in (["--n", "10", "--p", "9"], ["--n", "10", "--p", "12", "--beta", "inf"],
