@@ -11,7 +11,10 @@ scaled to unit variance).  Minus the smallest eigenvalue of A is one
 Tracy-Widom(beta) sample.  The noiseless bands are built once per (h, N),
 read-only, and each sample adds its noise to a copy of the diagonal; with
 ``noise=None``, :func:`airy_tridiagonal` gives the deterministic operator,
-with ground state 2.3381... as h -> 0.
+with ground state 2.3381... as h -> 0.  That operator's ground-state
+eigenvector is also computed once per (h, N), read-only: every sample's
+solve starts from it, so dstebz bisects only a window around the noisy
+ground state (see :func:`lagprod.eig.tridiag_extreme_eig`).
 
 The cell noise is realized by summing a fixed micro-mesh Brownian tape, so
 runs at different h (or L) from the same stream share one underlying noise
@@ -26,6 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .eig import EigConfig, tridiag_extreme_eig
 from .ensemble import SymmetricBanded
@@ -73,6 +77,14 @@ def _noiseless_bands(h: float, N: int) -> tuple[np.ndarray, np.ndarray]:
     return diag, offdiag
 
 
+@lru_cache(maxsize=8)
+def _ground_state(h: float, N: int) -> np.ndarray:
+    """Read-only unit eigenvector of the noiseless operator's smallest eigenvalue."""
+    vector = eigh_tridiagonal(*_noiseless_bands(h, N), select="i", select_range=(0, 0))[1][:, 0]
+    vector.flags.writeable = False
+    return vector
+
+
 def airy_tridiagonal(beta: float, h: float, N: int, noise: np.ndarray | None) -> SymmetricBanded:
     """Discretized operator matrix for given noise realization (None = noiseless)."""
     diag, offdiag = _noiseless_bands(h, N)
@@ -99,8 +111,9 @@ def sample_tw(
     """One Tracy-Widom(beta) sample: minus the smallest eigenvalue of A.
 
     Pure function of (disc, stream state); the smallest eigenvalue is found
-    by LAPACK bisection (dstebz).
+    by LAPACK bisection (dstebz), within rel_tol * D of the true one, over a
+    window certified from the noiseless ground state.
     """
     A = airy_tridiagonal(disc.beta, disc.h, disc.N, cell_noise(disc, stream))
-    return -tridiag_extreme_eig(A, cfg)
+    return -tridiag_extreme_eig(A, cfg, _ground_state(disc.h, disc.N))
 

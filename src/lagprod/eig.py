@@ -14,7 +14,10 @@ the solver bisects the Gershgorin interval of the full matrix instead.
 The smallest eigenvalue of the stochastic Airy matrix, whose ground state
 spans most of the mesh, comes from LAPACK dstebz (Sturm-count bisection),
 called directly, which stops once its bracket is below rel_tol * D; the
-final bracket is the certificate.
+final bracket is the certificate.  Given a start vector near the ground
+state, dstebz bisects only a value window around lambda_min, each end of it
+certified by inertia (Parlett, The Symmetric Eigenvalue Problem, section 3),
+instead of searching the whole Gershgorin interval for it by index.
 
 Either solver gives nan for a matrix with a non-finite entry.
 """
@@ -25,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dsbevx, dstebz
+from scipy.linalg.lapack import dpbtrf, dpttrf, dsbevx, dstebz
 
 from .ensemble import SymmetricBanded
 
@@ -34,6 +37,10 @@ from .ensemble import SymmetricBanded
 EDGE_ROWS = 10
 
 EPS = np.finfo(float).eps
+
+# the ground-state window tries its lower end 1/WINDOW_STEP of the way from
+# the start vector's Rayleigh quotient down to the Gershgorin bound
+WINDOW_STEP = 32
 
 
 @dataclass(frozen=True)
@@ -65,30 +72,65 @@ def gershgorin_bounds(diag: np.ndarray, *offdiags: np.ndarray) -> tuple[float, f
     return float((diag - r).min()), float((diag + r).max())
 
 
-def tridiag_extreme_eig(T: SymmetricBanded, cfg: EigConfig | None = None) -> float:
+def tridiag_extreme_eig(
+    T: SymmetricBanded, cfg: EigConfig | None = None, start: np.ndarray | None = None
+) -> float:
     """Smallest eigenvalue of the tridiagonal T by LAPACK Sturm bisection (dstebz).
 
     The absolute error is at most rel_tol times the Gershgorin spectral
-    diameter of T; nan if T has a non-finite entry.  Only the Airy sampler
-    calls it; the name is the one ``benchmark/runner.py`` traces.
+    diameter of T; nan if T has a non-finite entry.  Given a unit vector
+    ``start``, dstebz bisects only the window of :func:`_ground_window`, and
+    searches the whole Gershgorin interval by index, as without ``start``,
+    if it finds nothing there.  dstebz resolves every eigenvalue in the
+    window, so pass only a start near the ground state.  Only the Airy
+    sampler calls this; the name is the one ``benchmark/runner.py`` traces.
     """
     cfg = cfg or EigConfig()
     diag, offdiag = T.bands
-    m = float(np.maximum(np.abs(diag).max(), np.abs(offdiag).max(initial=0.0)))  # keeps nan
-    if not math.isfinite(m):
+    m_diag, m_off = float(np.abs(diag).max()), float(np.abs(offdiag).max(initial=0.0))
+    if not (math.isfinite(m_diag) and math.isfinite(m_off)):
         return math.nan
     if T.n == 1:  # dstebz takes no empty off-diagonal
         return float(diag[0])
     # dstebz squares the off-diagonal; dividing by a power of two near the
     # largest entry (exact) keeps those squares from underflowing to zero
+    m = max(m_diag, m_off)
     s = math.ldexp(1.0, math.frexp(m)[1]) if m > 0 else 1.0
     diag, offdiag = diag / s, offdiag / s
     lo, hi = gershgorin_bounds(diag, offdiag)
     # a zero diameter (T = cI) gives tol = 0, for which dstebz uses ulp * ||T||_1
-    _, w, _, _, info = dstebz(diag, offdiag, 2, 0.0, 0.0, 1, 1, cfg.rel_tol * (hi - lo), "E")
+    tol = cfg.rel_tol * (hi - lo)
+    if start is not None:
+        vl, vu = _ground_window(diag, offdiag, start, lo, hi)
+        if vl < vu:  # dstebz rejects an empty window (and prints so); a nan start gives one
+            count, w, _, _, info = dstebz(diag, offdiag, 1, vl, vu, 0, 0, tol, "E")
+            if count and info == 0:
+                return s * float(w[0])
+    _, w, _, _, info = dstebz(diag, offdiag, 2, 0.0, 0.0, 1, 1, tol, "E")
     if info != 0:
         raise np.linalg.LinAlgError(f"dstebz failed with info={info}")
     return s * float(w[0])
+
+
+def _ground_window(
+    diag: np.ndarray, offdiag: np.ndarray, start: np.ndarray, lo: float, hi: float
+) -> tuple[float, float]:
+    """Window (vl, vu] holding lambda_min of the tridiagonal with Gershgorin bounds [lo, hi].
+
+    The Rayleigh quotient rho of the unit vector ``start`` bounds lambda_min
+    from above.  At sigma = rho - (rho - lo) / WINDOW_STEP, a successful
+    LDL^T factorization (LAPACK dpttrf) of T - sigma I proves
+    lambda_min > sigma; a failed one proves lambda_min <= sigma, and lo is
+    the lower end instead.  Each end is widened by 4 n eps ||T||_1 (with
+    ||T||_1 = max(|lo|, |hi|)) for the rounding of rho, of the factorization
+    and of dstebz's Sturm counts.
+    """
+    rho = float(np.dot(diag, start * start) + 2.0 * np.dot(offdiag, start[:-1] * start[1:]))
+    margin = 4 * len(diag) * EPS * max(-lo, hi)
+    sigma = rho - (rho - lo) / WINDOW_STEP
+    if dpttrf(diag - sigma, offdiag)[2] == 0:
+        return sigma - margin, rho + margin
+    return lo - margin, min(rho, sigma) + margin
 
 
 def banded_largest_eig(S: SymmetricBanded, cfg: EigConfig | None = None) -> float:

@@ -60,9 +60,11 @@ def moments(x: np.ndarray) -> dict:
     """
     M = len(x)
     mean = float(x.mean())
-    variance = float(x.var(ddof=1)) if M > 1 else 0.0
     centered = x - mean
-    m2 = float(np.mean(centered**2))
+    # the centred sum of squares that x.var and np.mean(centered**2) both form
+    s2 = float((centered * centered).sum())
+    variance = s2 / (M - 1) if M > 1 else 0.0
+    m2 = s2 / M
     m3 = float(np.mean(centered**3))
     skewness = m3 / m2**1.5 if m2 > 0 else 0.0
 

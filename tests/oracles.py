@@ -6,6 +6,7 @@ import scipy.linalg
 from lagprod.ensemble import BidiagonalFactor, SymmetricBanded
 
 DENSE_ORACLE_MAX_N = 64
+EPS = np.finfo(float).eps
 
 
 def dense_bidiagonal(B: BidiagonalFactor) -> np.ndarray:
@@ -24,6 +25,19 @@ def dense_tridiagonal(T: SymmetricBanded) -> np.ndarray:
     A[idx, idx + 1] = offdiag
     A[idx + 1, idx] = offdiag
     return A
+
+
+def allowed_error(A: np.ndarray, rel_tol: float) -> float:
+    """Solver certificate rel_tol * Gershgorin diameter, plus 4 n eps ||A||_1 of rounding
+    and n subnormal units of underflow (a matrix of subnormal entries).
+
+    Computed from the dense matrix A, independently of the solvers' own bounds.
+    """
+    d = np.diag(A)
+    r = np.abs(A).sum(axis=1) - np.abs(d)
+    diameter = (d + r).max() - (d - r).min()
+    rounding = 4 * len(A) * EPS * np.abs(A).sum(axis=0).max() + len(A) * np.finfo(float).smallest_subnormal
+    return rel_tol * diameter + rounding
 
 
 def dense_product_eigs(X_p: SymmetricBanded, X_q: SymmetricBanded) -> np.ndarray:

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from lagprod import airy
+from lagprod import airy, eig
 from lagprod.airy import AiryDiscretization, airy_tridiagonal, cell_noise, sample_tw
-from lagprod.eig import EigConfig, tridiag_extreme_eig
+from lagprod.eig import EPS, EigConfig, gershgorin_bounds, tridiag_extreme_eig
 from lagprod.harness import ExperimentConfig, sweep
 from lagprod.variates import split_stream
+from oracles import allowed_error, dense_tridiagonal
 
 # first zero of the Airy function; ground state of -d^2/dx^2 + x on [0, inf)
 AIRY_GROUND = 2.33810741045977
@@ -89,9 +90,78 @@ def test_cell_noise_tape_golden():
 ])
 def test_sample_tw_golden(h, L, golden):
     # pins every bit of the cell sums (numpy's pairwise sum from 8 micro-steps
-    # a cell up), the band arithmetic and the solve
+    # a cell up) and the band arithmetic: the index solve of the same matrices
+    # still returns exactly -golden.  sample_tw's windowed solve and the index
+    # solve each lie within rel_tol * D of the true eigenvalue, so within
+    # 2 rel_tol * D (plus rounding) of each other.
     disc = AiryDiscretization(beta=2.0, h=h, L=L)
-    assert [sample_tw(disc, split_stream(29, r)) for r in range(3)] == golden
+    cfg = EigConfig()
+    for r, value in enumerate(golden):
+        A = airy_tridiagonal(disc.beta, disc.h, disc.N, cell_noise(disc, split_stream(29, r)))
+        assert tridiag_extreme_eig(A, cfg) == -value
+        assert abs(sample_tw(disc, split_stream(29, r)) - value) <= allowed_error(dense_tridiagonal(A), 2 * cfg.rel_tol)
+
+
+@pytest.mark.parametrize("h", [0.1, 0.05, 0.02])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 4.0])
+def test_windowed_sample_within_solver_bound_of_index_solve(beta, h):
+    # both solves are certified to rel_tol * D, so they differ by at most
+    # twice that; the windowed one is what sample_tw returns
+    disc = AiryDiscretization(beta=beta, h=h)
+    start = airy._ground_state(h, disc.N)
+    cfg = EigConfig()
+    for r in range(500):
+        A = airy_tridiagonal(beta, h, disc.N, cell_noise(disc, split_stream(71, r)))
+        lo, hi = gershgorin_bounds(*A.bands)
+        bound = 2 * cfg.rel_tol * (hi - lo) + 4 * disc.N * EPS * max(-lo, hi)
+        windowed = tridiag_extreme_eig(A, cfg, start)
+        assert abs(windowed - tridiag_extreme_eig(A, cfg)) <= bound
+        assert sample_tw(disc, split_stream(71, r)) == -windowed
+
+
+@pytest.fixture
+def tridiagonal_calls(monkeypatch):
+    """The range argument of each dstebz call the eig module makes (1 = value
+    window, 2 = index), and the order of each matrix it passes to dpttrf."""
+    calls = {"dstebz": [], "dpttrf": []}
+    real_dstebz, real_dpttrf = eig.dstebz, eig.dpttrf
+
+    def dstebz(d, e, range_, *args):
+        calls["dstebz"].append(range_)
+        return real_dstebz(d, e, range_, *args)
+
+    def dpttrf(d, e, *args):
+        calls["dpttrf"].append(len(d))
+        return real_dpttrf(d, e, *args)
+
+    monkeypatch.setattr(eig, "dstebz", dstebz)
+    monkeypatch.setattr(eig, "dpttrf", dpttrf)
+    return calls
+
+
+def test_default_mesh_sweep_solves_every_replicate_in_its_window(tridiagonal_calls, capfd):
+    # the values would stay right if the windows silently fell back to the
+    # index search; only the calls show the fast path.  dstebz handed an empty
+    # window prints "parameter number 5 had an illegal value" from Fortran
+    rows = _tw_rows(2.0, 64, 3)
+    assert np.isfinite(rows).all()
+    assert tridiagonal_calls["dstebz"] == [1] * 64
+    assert tridiagonal_calls["dpttrf"] == [AiryDiscretization(beta=2.0).N] * 64
+    assert capfd.readouterr() == ("", "")
+
+
+def test_window_falls_back_to_the_index_search(tridiagonal_calls, capfd):
+    A = airy_tridiagonal(2.0, 0.1, 80, cell_noise(AiryDiscretization(beta=2.0, h=0.1, L=8.0), split_stream(2, 0)))
+    start = airy._ground_state(0.1, 80)
+    lam = tridiag_extreme_eig(A, EigConfig())
+    # half a unit vector: its Rayleigh quotient, a quarter of one, lies below
+    # lambda_min > 0, so the window holds no eigenvalue
+    assert tridiag_extreme_eig(A, EigConfig(), 0.5 * start) == lam
+    assert tridiagonal_calls["dstebz"] == [2, 1, 2]
+    # a nan start gives an empty window, which never reaches dstebz
+    assert tridiag_extreme_eig(A, EigConfig(), np.full(80, np.nan)) == lam
+    assert tridiagonal_calls["dstebz"] == [2, 1, 2, 2]
+    assert capfd.readouterr() == ("", "")
 
 
 def test_memoized_bands_are_read_only():

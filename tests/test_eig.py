@@ -9,9 +9,8 @@ from lagprod.eig import EigConfig, banded_largest_eig, gershgorin_bounds, tridia
 from lagprod.ensemble import EnsembleParams, SymmetricBanded, laguerre_matrix, sample_bidiagonal
 from lagprod.product import product_similarity
 from lagprod.variates import split_stream
-from oracles import dense_product_eigs, dense_tridiagonal
+from oracles import allowed_error, dense_product_eigs, dense_tridiagonal
 
-EPS = np.finfo(float).eps
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
@@ -22,19 +21,6 @@ def _diag_matrix(values):
 
 def _random_tridiag(rng, n):
     return SymmetricBanded((rng.normal(size=n), rng.normal(size=n - 1)))
-
-
-def _allowed_error(A, rel_tol):
-    """Solver certificate rel_tol * Gershgorin diameter, plus 4 n eps ||A||_1 of rounding
-    and n subnormal units of underflow (a matrix of subnormal entries).
-
-    Computed from the dense matrix, independently of the solvers' own bounds.
-    """
-    d = np.diag(A)
-    r = np.abs(A).sum(axis=1) - np.abs(d)
-    diameter = (d + r).max() - (d - r).min()
-    rounding = 4 * len(A) * EPS * np.abs(A).sum(axis=0).max() + len(A) * np.finfo(float).smallest_subnormal
-    return rel_tol * diameter + rounding
 
 
 def test_bisection_examples():
@@ -124,8 +110,8 @@ def test_banded_gershgorin_consistency(bands, rel_tol):
     S = SymmetricBanded(bands)
     A = S.dense()
     lam = banded_largest_eig(S, EigConfig(rel_tol=rel_tol))
-    assert lam >= bands[0].max() - _allowed_error(A, rel_tol)
-    assert abs(lam - np.linalg.eigvalsh(A)[-1]) <= _allowed_error(A, rel_tol)
+    assert lam >= bands[0].max() - allowed_error(A, rel_tol)
+    assert abs(lam - np.linalg.eigvalsh(A)[-1]) <= allowed_error(A, rel_tol)
 
 
 @FUZZ
@@ -146,7 +132,7 @@ def test_banded_certificate_on_sampled_products(n, dp, dq, beta, rel_tol, seed):
     S = product_similarity(B_q, X_p)
     lam = banded_largest_eig(S, EigConfig(rel_tol=rel_tol))
     oracle = dense_product_eigs(X_p, X_q)[-1]
-    assert abs(lam - oracle) <= _allowed_error(S.dense(), rel_tol)
+    assert abs(lam - oracle) <= allowed_error(S.dense(), rel_tol)
 
 
 @pytest.fixture
@@ -181,7 +167,7 @@ def test_edge_solve_on_sampled_products(n, p, q, beta, reps, rel_tol, lapack_cal
         for log in lapack_calls.values():
             log.clear()
         lam = banded_largest_eig(S, EigConfig(rel_tol=rel_tol))
-        assert abs(lam - np.linalg.eigvalsh(A)[-1]) <= _allowed_error(A, rel_tol / 2)
+        assert abs(lam - np.linalg.eigvalsh(A)[-1]) <= allowed_error(A, rel_tol / 2)
         assert lapack_calls["dsbevx"][0] == _first_block(n)
         assert len(lapack_calls["dpbtrf"]) <= 2 * len(lapack_calls["dsbevx"])
 
@@ -194,7 +180,7 @@ def test_edge_solve_doubles_block_up_to_n(lapack_calls):
     S = SymmetricBanded((np.arange(float(n)), 0.1 * rng.normal(size=n - 1), 0.1 * rng.normal(size=n - 2)))
     A = S.dense()
     lam = banded_largest_eig(S, EigConfig(rel_tol=rel_tol))
-    assert abs(lam - np.linalg.eigvalsh(A)[-1]) <= _allowed_error(A, rel_tol / 2)
+    assert abs(lam - np.linalg.eigvalsh(A)[-1]) <= allowed_error(A, rel_tol / 2)
     k = _first_block(n)  # 59: blocks of 59 and 118 rows, then 236 >= n
     assert lapack_calls["dsbevx"] == [k, 2 * k]
     assert len(lapack_calls["dpbtrf"]) >= np.ceil(-np.log2(rel_tol))
@@ -210,7 +196,7 @@ def test_edge_solve_doubles_block_once(lapack_calls):
     S = SymmetricBanded((diag, 0.1 * rng.normal(size=n - 1), 0.1 * rng.normal(size=n - 2)))
     A = S.dense()
     lam = banded_largest_eig(S, EigConfig(rel_tol=rel_tol))
-    assert abs(lam - np.linalg.eigvalsh(A)[-1]) <= _allowed_error(A, rel_tol / 2)
+    assert abs(lam - np.linalg.eigvalsh(A)[-1]) <= allowed_error(A, rel_tol / 2)
     assert lapack_calls["dsbevx"] == [k, 2 * k]
     assert len(lapack_calls["dpbtrf"]) <= 4
 
@@ -223,7 +209,7 @@ def test_edge_solve_bisects_when_h_is_below_rounding(lapack_calls):
     S = product_similarity(B_q, laguerre_matrix(B_p))
     A = S.dense()
     lam = banded_largest_eig(S, EigConfig(rel_tol=rel_tol))
-    assert abs(lam - np.linalg.eigvalsh(A)[-1]) <= _allowed_error(A, rel_tol / 2)
+    assert abs(lam - np.linalg.eigvalsh(A)[-1]) <= allowed_error(A, rel_tol / 2)
     assert lapack_calls["dsbevx"] == []
     assert lapack_calls["dpbtrf"] == [n] * int(np.ceil(-np.log2(rel_tol)))
 
@@ -237,11 +223,20 @@ def test_tridiag_extremes_certificate(bands, rel_tol):
     A = dense_tridiagonal(T)
     ev = np.linalg.eigvalsh(A)
     lo, hi = gershgorin_bounds(*bands)
-    slack = _allowed_error(A, 0.0)  # rounding in eigvalsh and in the bounds
+    slack = allowed_error(A, 0.0)  # rounding in eigvalsh and in the bounds
     assert lo - slack <= ev[0] and ev[-1] <= hi + slack
     cfg = EigConfig(rel_tol=rel_tol)
-    assert abs(tridiag_extreme_eig(T, cfg) - ev[0]) <= _allowed_error(A, rel_tol)
-    assert abs(banded_largest_eig(T, cfg) - ev[-1]) <= _allowed_error(A, rel_tol / 2)
+    assert abs(tridiag_extreme_eig(T, cfg) - ev[0]) <= allowed_error(A, rel_tol)
+    assert abs(banded_largest_eig(T, cfg) - ev[-1]) <= allowed_error(A, rel_tol / 2)
+    # the window path, from a drawn unit vector (a poor start: its window holds
+    # many eigenvalues, or it falls back to the index search), from the exact
+    # bottom eigenvector (whose Rayleigh quotient can round below lambda_min),
+    # and from that eigenvector disturbed by a tenth of the drawn one
+    drawn = np.random.default_rng(len(A)).normal(size=len(A))
+    bottom = np.linalg.eigh(A)[1][:, 0]
+    for start in (drawn, bottom, bottom + 0.1 * drawn / np.linalg.norm(drawn)):
+        start = start / np.linalg.norm(start)
+        assert abs(tridiag_extreme_eig(T, cfg, start) - ev[0]) <= allowed_error(A, rel_tol)
 
 
 @pytest.mark.parametrize("rel_tol", [1e-10, 1e-6])
@@ -255,7 +250,7 @@ def test_edge_solve_on_laguerre_matrices(n, p, beta, reps, rel_tol, lapack_calls
         for log in lapack_calls.values():
             log.clear()
         lam = banded_largest_eig(X, EigConfig(rel_tol=rel_tol))
-        assert abs(lam - np.linalg.eigvalsh(A)[-1]) <= _allowed_error(A, rel_tol / 2)
+        assert abs(lam - np.linalg.eigvalsh(A)[-1]) <= allowed_error(A, rel_tol / 2)
         if _first_block(n) < n:  # otherwise the solver bisects the whole matrix
             assert lapack_calls["dsbevx"][0] == _first_block(n)
             assert len(lapack_calls["dpbtrf"]) <= 2 * len(lapack_calls["dsbevx"])
@@ -269,7 +264,7 @@ def test_edge_solve_at_bandwidth_one_grows_the_block(lapack_calls):
     T = SymmetricBanded((np.arange(float(n)), 0.1 * rng.normal(size=n - 1)))
     A = dense_tridiagonal(T)
     lam = banded_largest_eig(T, EigConfig(rel_tol=rel_tol))
-    assert abs(lam - np.linalg.eigvalsh(A)[-1]) <= _allowed_error(A, rel_tol / 2)
+    assert abs(lam - np.linalg.eigvalsh(A)[-1]) <= allowed_error(A, rel_tol / 2)
     k = _first_block(n)
     assert lapack_calls["dsbevx"] == [k, 2 * k]
     assert len(lapack_calls["dpbtrf"]) >= np.ceil(-np.log2(rel_tol))

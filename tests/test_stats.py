@@ -80,6 +80,21 @@ def test_ecdf_nondecreasing_and_right_continuous():
         assert ecdf_eval(b, point) == pytest.approx(ecdf_eval(b, point - 1e-12) + 1 / b.size, abs=1e-12)
 
 
+def test_moments_match_numpy_var_and_mean_bit_for_bit():
+    # variance and m2 come from one centred sum of squares; on every length
+    # they equal x.var(ddof=1) and np.mean(centered**2), which form the same sum
+    rng = np.random.default_rng(14)
+    for M in range(1, 101):
+        for x in (rng.normal(size=M), rng.normal(-1.77, 0.9, size=M), rng.exponential(size=M) * 1e3):
+            mean = float(x.mean())
+            variance = float(x.var(ddof=1)) if M > 1 else 0.0
+            centered = x - mean
+            m2 = float(np.mean(centered**2))
+            skewness = float(np.mean(centered**3)) / m2**1.5 if m2 > 0 else 0.0
+            got = moments(x)
+            assert (got["mean"], got["variance"], got["skewness"]) == (mean, variance, skewness)
+
+
 def test_moments_examples():
     assert moments(_arr([5, 5, 5, 5]))["mean"] == 5.0
     assert moments(_arr([5, 5, 5, 5]))["variance"] == 0.0
