@@ -151,8 +151,8 @@ def constants(n, p, q, beta):
 def diagnose_potential(n, p, beta, reps, seed, out, workers):
     """Mean potential path of sampled matrices versus the x^2/2 reference."""
     try:
-        config = resolve_config("potential", dict(n=n, p=p, beta=beta, reps=reps, seed=seed,
-                                                  out=out, workers=workers))
+        config = resolve_config("single", dict(n=n, p=p, beta=beta, reps=reps, seed=seed,
+                                               out=out, workers=workers))
         result = mean_potential_path(config)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)

