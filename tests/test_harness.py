@@ -75,20 +75,21 @@ _MODE_KWARGS = {
 }
 
 
-@pytest.mark.parametrize("mode", list(_MODE_KWARGS))
-def test_worker_count_independence(tmp_path, mode):
-    blobs, path_blobs = [], []
+# "potential" is the potential path of the "single" case's draws
+@pytest.mark.parametrize("case", [*_MODE_KWARGS, "potential"])
+def test_worker_count_independence(tmp_path, case):
+    mode = "single" if case == "potential" else case
+    blobs = []
     for w in (1, 2, 8):
         config = ExperimentConfig(mode=mode, reps=16, seed=11, workers=w, out=tmp_path / f"w{w}",
                                   **_MODE_KWARGS[mode])
-        blobs.append(Path(run_experiment(config)[1]["artifacts"]["samples_csv"]["path"]).read_bytes())
-        if mode == "single":  # and the potential path of the same draws
+        if case == "potential":
             path = tmp_path / f"w{w}-potential-path.csv"
             write_potential_csv(path, mean_potential_path(config))
-            path_blobs.append(path.read_bytes())
+        else:
+            path = run_experiment(config)[1]["artifacts"]["samples_csv"]["path"]
+        blobs.append(Path(path).read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
-    if mode == "single":
-        assert path_blobs[0] == path_blobs[1] == path_blobs[2]
 
 
 def test_sweep_looks_up_replicates_at_call_time(tmp_path, monkeypatch):
