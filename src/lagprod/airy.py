@@ -8,13 +8,13 @@ condition at 0 is discretized on a uniform mesh of step h:
 
 with g_k i.i.d. standard normal (the integrated white noise over cell k,
 scaled to unit variance).  Minus the smallest eigenvalue of A is one
-Tracy-Widom(beta) sample.  The noiseless bands are built once per (h, N),
-read-only, and each sample adds its noise to a copy of the diagonal; with
-``noise=None``, :func:`airy_tridiagonal` gives the deterministic operator,
-with ground state 2.3381... as h -> 0.  That operator's ground-state
-eigenvector is also computed once per (h, N), read-only: every sample's
-solve starts from it, so dstebz bisects only a window around the noisy
-ground state (see :func:`lagprod.eig.tridiag_extreme_eig`).
+Tracy-Widom(beta) sample.  The noiseless bands (the deterministic operator,
+with ground state 2.3381... as h -> 0) are built once per (h, N),
+read-only, and each sample adds its noise to a copy of the diagonal.  That
+operator's ground-state eigenvector is also computed once per (h, N),
+read-only: every sample's solve starts from it, so dstebz bisects only a
+window around the noisy ground state (see
+:func:`lagprod.eig.tridiag_extreme_eig`).
 
 The cell noise is realized by summing a fixed micro-mesh Brownian tape, so
 runs at different h (or L) from the same stream share one underlying noise
@@ -85,12 +85,10 @@ def _ground_state(h: float, N: int) -> np.ndarray:
     return vector
 
 
-def airy_tridiagonal(beta: float, h: float, N: int, noise: np.ndarray | None) -> SymmetricBanded:
-    """Discretized operator matrix for given noise realization (None = noiseless)."""
+def airy_tridiagonal(beta: float, h: float, N: int, noise: np.ndarray) -> SymmetricBanded:
+    """Discretized operator matrix for the given per-cell noise realization."""
     diag, offdiag = _noiseless_bands(h, N)
-    if noise is not None:
-        diag = diag + (2.0 / math.sqrt(beta)) * noise / math.sqrt(h)
-    return SymmetricBanded((diag, offdiag))
+    return SymmetricBanded((diag + (2.0 / math.sqrt(beta)) * noise / math.sqrt(h), offdiag))
 
 
 def cell_noise(disc: AiryDiscretization, stream: np.random.Generator) -> np.ndarray:
@@ -111,8 +109,9 @@ def sample_tw(
     """One Tracy-Widom(beta) sample: minus the smallest eigenvalue of A.
 
     Pure function of (disc, stream state); the smallest eigenvalue is found
-    by LAPACK bisection (dstebz), within rel_tol * D of the true one, over a
-    window certified from the noiseless ground state.
+    by LAPACK bisection (dstebz), within rel_tol * D / 2 of the true one,
+    over a window certified from the noiseless ground state (nan if the
+    window holds no eigenvalue).
     """
     A = airy_tridiagonal(disc.beta, disc.h, disc.N, cell_noise(disc, stream))
     return -tridiag_extreme_eig(A, cfg, _ground_state(disc.h, disc.N))

@@ -28,8 +28,8 @@ from .scaling import coupled_scaling
 from .variates import TAPE
 
 
-_TOL_HELP = ("Eigensolver tolerance (default 1e-10): a top eigenvalue is within tol/2 times "
-             "the matrix's Gershgorin spectral diameter (Airy's smallest within tol times it).")
+_TOL_HELP = ("Eigensolver tolerance (default 1e-10): each computed eigenvalue is within tol/2 "
+             "times the matrix's Gershgorin spectral diameter of the true one.")
 
 
 def _common_options(fn):

@@ -13,11 +13,11 @@ the solver bisects the Gershgorin interval of the full matrix instead.
 
 The smallest eigenvalue of the stochastic Airy matrix, whose ground state
 spans most of the mesh, comes from LAPACK dstebz (Sturm-count bisection),
-called directly, which stops once its bracket is below rel_tol * D; the
-final bracket is the certificate.  Given a start vector near the ground
-state, dstebz bisects only a value window around lambda_min, each end of it
-certified by inertia (Parlett, The Symmetric Eigenvalue Problem, section 3),
-instead of searching the whole Gershgorin interval for it by index.
+called directly over a value window around lambda_min, each end of it
+certified by inertia (Parlett, The Symmetric Eigenvalue Problem, section 3)
+from a start vector near the ground state.  dstebz stops once its bracket
+is below rel_tol * D and returns the bracket's midpoint, so this value too
+lies within rel_tol * D / 2 of the true one: every solver has that bound.
 
 Either solver gives nan for a matrix with a non-finite entry.
 """
@@ -48,10 +48,9 @@ class EigConfig:
     """Tolerance for the eigenvalue solvers.
 
     ``rel_tol`` is relative to the Gershgorin spectral diameter D of the
-    matrix: a largest eigenvalue (Laguerre or product) lies within
-    rel_tol * D / 2 of the true one, and the Airy smallest eigenvalue within
-    rel_tol * D (both up to floating-point rounding of order n * eps times
-    the matrix 1-norm).
+    matrix: a largest eigenvalue (Laguerre or product) and the Airy smallest
+    eigenvalue each lie within rel_tol * D / 2 of the true one (up to
+    floating-point rounding of order n * eps times the matrix 1-norm).
     """
 
     rel_tol: float = 1e-10
@@ -72,44 +71,35 @@ def gershgorin_bounds(diag: np.ndarray, *offdiags: np.ndarray) -> tuple[float, f
     return float((diag - r).min()), float((diag + r).max())
 
 
-def tridiag_extreme_eig(
-    T: SymmetricBanded, cfg: EigConfig | None = None, start: np.ndarray | None = None
-) -> float:
+def tridiag_extreme_eig(T: SymmetricBanded, cfg: EigConfig | None, start: np.ndarray) -> float:
     """Smallest eigenvalue of the tridiagonal T by LAPACK Sturm bisection (dstebz).
 
-    The absolute error is at most rel_tol times the Gershgorin spectral
-    diameter of T; nan if T has a non-finite entry.  Given a unit vector
-    ``start``, dstebz bisects only the window of :func:`_ground_window`, and
-    searches the whole Gershgorin interval by index, as without ``start``,
-    if it finds nothing there.  dstebz resolves every eigenvalue in the
-    window, so pass only a start near the ground state.  Only the Airy
-    sampler calls this; the name is the one ``benchmark/runner.py`` traces.
+    dstebz bisects only the window of :func:`_ground_window`, built from the
+    unit vector ``start``, until each bracket is narrower than rel_tol times
+    the Gershgorin spectral diameter D of T, and returns the midpoint of the
+    lowest one: within rel_tol * D / 2 of the true eigenvalue.  It resolves
+    every eigenvalue in the window, so pass a start near the ground state.
+    A non-finite entry, or a window holding no eigenvalue, gives nan.  Only
+    the Airy sampler calls this; the name is the one ``benchmark/runner.py``
+    traces.
     """
     cfg = cfg or EigConfig()
     diag, offdiag = T.bands
-    m_diag, m_off = float(np.abs(diag).max()), float(np.abs(offdiag).max(initial=0.0))
-    if not (math.isfinite(m_diag) and math.isfinite(m_off)):
-        return math.nan
-    if T.n == 1:  # dstebz takes no empty off-diagonal
-        return float(diag[0])
-    # dstebz squares the off-diagonal; dividing by a power of two near the
-    # largest entry (exact) keeps those squares from underflowing to zero
-    m = max(m_diag, m_off)
-    s = math.ldexp(1.0, math.frexp(m)[1]) if m > 0 else 1.0
-    diag, offdiag = diag / s, offdiag / s
     lo, hi = gershgorin_bounds(diag, offdiag)
-    # a zero diameter (T = cI) gives tol = 0, for which dstebz uses ulp * ||T||_1
-    tol = cfg.rel_tol * (hi - lo)
-    if start is not None:
-        vl, vu = _ground_window(diag, offdiag, start, lo, hi)
-        if vl < vu:  # dstebz rejects an empty window (and prints so); a nan start gives one
-            count, w, _, _, info = dstebz(diag, offdiag, 1, vl, vu, 0, 0, tol, "E")
-            if count and info == 0:
-                return s * float(w[0])
-    _, w, _, _, info = dstebz(diag, offdiag, 2, 0.0, 0.0, 1, 1, tol, "E")
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dstebz failed with info={info}")
-    return s * float(w[0])
+    if not math.isfinite(hi - lo):  # a non-finite entry
+        return math.nan
+    if lo == hi:  # T = cI, n = 1 included (dstebz takes no empty off-diagonal)
+        return lo
+    # dstebz squares the off-diagonal; dividing by the power of two just
+    # above max(-lo, hi) >= every |entry| (exact) keeps those squares from
+    # underflowing to zero
+    s = math.ldexp(1.0, math.frexp(max(-lo, hi))[1])
+    diag, offdiag, lo, hi = diag / s, offdiag / s, lo / s, hi / s
+    vl, vu = _ground_window(diag, offdiag, start, lo, hi)
+    if not vl < vu:  # dstebz rejects an empty window (and prints so); a nan start gives one
+        return math.nan
+    count, w, _, _, info = dstebz(diag, offdiag, 1, vl, vu, 0, 0, cfg.rel_tol * (hi - lo), "E")
+    return s * float(w[0]) if count and info == 0 else math.nan
 
 
 def _ground_window(

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from lagprod.airy import airy_tridiagonal
+from lagprod import airy
 from lagprod.eig import EigConfig, tridiag_extreme_eig
-from lagprod.ensemble import EnsembleParams, laguerre_matrix, sample_bidiagonal
+from lagprod.ensemble import EnsembleParams, SymmetricBanded, laguerre_matrix, sample_bidiagonal
 from lagprod.harness import ExperimentConfig, mean_potential_path, read_batch_csv, run_experiment, sweep
 from lagprod.product import product_similarity
 from lagprod.scaling import closed_form_cn, coupled_scaling, single_scaling
@@ -175,8 +175,8 @@ def test_criterion_6_airy_self_consistency(tw2_default_batch):
 
     def noiseless(h):
         N = int(round(12.0 / h))
-        A = airy_tridiagonal(math.inf, h, N, None)
-        return tridiag_extreme_eig(A, EigConfig(rel_tol=1e-12))
+        A = SymmetricBanded(airy._noiseless_bands(h, N))
+        return tridiag_extreme_eig(A, EigConfig(rel_tol=1e-12), airy._ground_state(h, N))
 
     lam_01, lam_005 = noiseless(0.01), noiseless(0.005)
     limit = lam_005 + (lam_005 - lam_01) / 3.0

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 
 from lagprod import airy, eig
 from lagprod.airy import AiryDiscretization, airy_tridiagonal, cell_noise, sample_tw
 from lagprod.eig import EPS, EigConfig, gershgorin_bounds, tridiag_extreme_eig
+from lagprod.ensemble import SymmetricBanded
 from lagprod.harness import ExperimentConfig, sweep
 from lagprod.variates import split_stream
 from oracles import allowed_error, dense_tridiagonal
@@ -21,15 +23,15 @@ def _tw_rows(beta, M, seed, **disc):
 
 def _noiseless_ground(h, L, rel_tol=1e-12):
     N = int(round(L / h))
-    A = airy_tridiagonal(math.inf, h, N, None)
-    return tridiag_extreme_eig(A, EigConfig(rel_tol=rel_tol))
+    A = SymmetricBanded(airy._noiseless_bands(h, N))
+    return tridiag_extreme_eig(A, EigConfig(rel_tol=rel_tol), airy._ground_state(h, N))
 
 
 def test_two_by_two_hand_case():
     # h = 1, N = 2, noiseless: [[3, -1], [-1, 4]], smallest eigenvalue (7 - sqrt 5)/2
-    A = airy_tridiagonal(math.inf, 1.0, 2, None)
+    A = SymmetricBanded(airy._noiseless_bands(1.0, 2))
     assert [band.tolist() for band in A.bands] == [[3.0, 4.0], [-1.0]]
-    lam = tridiag_extreme_eig(A, EigConfig(rel_tol=1e-12))
+    lam = tridiag_extreme_eig(A, EigConfig(rel_tol=1e-12), airy._ground_state(1.0, 2))
     assert lam == pytest.approx((7.0 - math.sqrt(5.0)) / 2.0, abs=1e-10)
 
 
@@ -85,44 +87,55 @@ def test_cell_noise_tape_golden():
 
 
 @pytest.mark.parametrize("h,L,golden", [
-    (0.04, 12.0, [-3.098404068443139, -2.1233813455818225, -1.4828977431726682]),  # 8 micro-steps
-    (0.1, 8.0, [-3.0370116315839804, -2.1122572398616635, -1.39144000233628]),  # 20 micro-steps
+    (0.04, 12.0, [  # 8 micro-steps
+        (-3.098404068443139, -3.098404187583081),
+        (-2.1233813455818225, -2.1233812932118727),
+        (-1.4828977431726682, -1.4828977127581946),
+    ]),
+    (0.1, 8.0, [  # 20 micro-steps
+        (-3.0370116315839804, -3.0370116297914977),
+        (-2.1122572398616635, -2.112257245312187),
+        (-1.39144000233628, -1.3914400164351355),
+    ]),
 ])
 def test_sample_tw_golden(h, L, golden):
-    # pins every bit of the cell sums (numpy's pairwise sum from 8 micro-steps
-    # a cell up) and the band arithmetic: the index solve of the same matrices
-    # still returns exactly -golden.  sample_tw's windowed solve and the index
-    # solve each lie within rel_tol * D of the true eigenvalue, so within
-    # 2 rel_tol * D (plus rounding) of each other.
+    # golden[r] = (index value, window value).  The window value pins every
+    # bit of the cell sums (numpy's pairwise sum from 8 micro-steps a cell
+    # up), the band arithmetic and the window solve, as sample_tw returned it
+    # when the window became its solve.  The index value was recorded from a
+    # Sturm search by index, certified to rel_tol * D, so the window lies
+    # within 2 rel_tol * D (plus rounding) of it.
     disc = AiryDiscretization(beta=2.0, h=h, L=L)
     cfg = EigConfig()
-    for r, value in enumerate(golden):
+    for r, (value, exact) in enumerate(golden):
         A = airy_tridiagonal(disc.beta, disc.h, disc.N, cell_noise(disc, split_stream(29, r)))
-        assert tridiag_extreme_eig(A, cfg) == -value
-        assert abs(sample_tw(disc, split_stream(29, r)) - value) <= allowed_error(dense_tridiagonal(A), 2 * cfg.rel_tol)
+        assert sample_tw(disc, split_stream(29, r)) == exact
+        assert abs(exact - value) <= allowed_error(dense_tridiagonal(A), 2 * cfg.rel_tol)
 
 
 @pytest.mark.parametrize("h", [0.1, 0.05, 0.02])
 @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 4.0])
 def test_windowed_sample_within_solver_bound_of_index_solve(beta, h):
-    # both solves are certified to rel_tol * D, so they differ by at most
-    # twice that; the windowed one is what sample_tw returns
+    # scipy's index solve (dstebz by index, converged to ulp * ||A||_1) is the
+    # reference; the windowed solve, which sample_tw returns, is certified to
+    # rel_tol * D / 2 of it, up to the rounding of both
     disc = AiryDiscretization(beta=beta, h=h)
     start = airy._ground_state(h, disc.N)
     cfg = EigConfig()
     for r in range(500):
         A = airy_tridiagonal(beta, h, disc.N, cell_noise(disc, split_stream(71, r)))
         lo, hi = gershgorin_bounds(*A.bands)
-        bound = 2 * cfg.rel_tol * (hi - lo) + 4 * disc.N * EPS * max(-lo, hi)
+        bound = cfg.rel_tol * (hi - lo) / 2 + 4 * disc.N * EPS * max(-lo, hi)
         windowed = tridiag_extreme_eig(A, cfg, start)
-        assert abs(windowed - tridiag_extreme_eig(A, cfg)) <= bound
+        reference = eigvalsh_tridiagonal(*A.bands, select="i", select_range=(0, 0))[0]
+        assert abs(windowed - reference) <= bound
         assert sample_tw(disc, split_stream(71, r)) == -windowed
 
 
 @pytest.fixture
 def tridiagonal_calls(monkeypatch):
     """The range argument of each dstebz call the eig module makes (1 = value
-    window, 2 = index), and the order of each matrix it passes to dpttrf."""
+    window), and the order of each matrix it passes to dpttrf."""
     calls = {"dstebz": [], "dpttrf": []}
     real_dstebz, real_dpttrf = eig.dstebz, eig.dpttrf
 
@@ -139,28 +152,35 @@ def tridiagonal_calls(monkeypatch):
     return calls
 
 
-def test_default_mesh_sweep_solves_every_replicate_in_its_window(tridiagonal_calls, capfd):
-    # the values would stay right if the windows silently fell back to the
-    # index search; only the calls show the fast path.  dstebz handed an empty
-    # window prints "parameter number 5 had an illegal value" from Fortran
-    rows = _tw_rows(2.0, 64, 3)
+@pytest.mark.parametrize("beta", [0.5, 2.0, 4.0])
+@pytest.mark.parametrize("mesh", [dict(h=0.1, L=8.0), dict()], ids=["tier1", "default"])
+def test_default_mesh_sweep_solves_every_replicate_in_its_window(mesh, beta, tridiagonal_calls, capfd):
+    # one value-mode dstebz call and one factorization per replicate, every
+    # value finite; dstebz handed an empty window prints "parameter number 5
+    # had an illegal value" from Fortran
+    disc = AiryDiscretization(beta=beta, **mesh)
+    rows = _tw_rows(beta, 64, 3, mesh=disc.h, cutoff=disc.L)
     assert np.isfinite(rows).all()
     assert tridiagonal_calls["dstebz"] == [1] * 64
-    assert tridiagonal_calls["dpttrf"] == [AiryDiscretization(beta=2.0).N] * 64
+    assert tridiagonal_calls["dpttrf"] == [disc.N] * 64
     assert capfd.readouterr() == ("", "")
 
 
-def test_window_falls_back_to_the_index_search(tridiagonal_calls, capfd):
+def test_window_without_an_eigenvalue_gives_nan(tridiagonal_calls, capfd):
     A = airy_tridiagonal(2.0, 0.1, 80, cell_noise(AiryDiscretization(beta=2.0, h=0.1, L=8.0), split_stream(2, 0)))
     start = airy._ground_state(0.1, 80)
-    lam = tridiag_extreme_eig(A, EigConfig())
+    # a nan start gives an empty window, which never reaches dstebz
+    assert math.isnan(tridiag_extreme_eig(A, EigConfig(), np.full(80, np.nan)))
+    assert tridiagonal_calls["dstebz"] == []
     # half a unit vector: its Rayleigh quotient, a quarter of one, lies below
     # lambda_min > 0, so the window holds no eigenvalue
-    assert tridiag_extreme_eig(A, EigConfig(), 0.5 * start) == lam
-    assert tridiagonal_calls["dstebz"] == [2, 1, 2]
-    # a nan start gives an empty window, which never reaches dstebz
-    assert tridiag_extreme_eig(A, EigConfig(), np.full(80, np.nan)) == lam
-    assert tridiagonal_calls["dstebz"] == [2, 1, 2, 2]
+    assert math.isnan(tridiag_extreme_eig(A, EigConfig(), 0.5 * start))
+    assert tridiagonal_calls["dstebz"] == [1]
+    # a non-finite entry is caught before any factorization
+    noise = np.zeros(80)
+    noise[40] = np.inf
+    assert math.isnan(tridiag_extreme_eig(airy_tridiagonal(2.0, 0.1, 80, noise), EigConfig(), start))
+    assert tridiagonal_calls == {"dstebz": [1], "dpttrf": [80, 80]}
     assert capfd.readouterr() == ("", "")
 
 

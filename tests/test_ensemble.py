@@ -3,9 +3,10 @@ import pytest
 from scipy.special import gammaln
 
 from lagprod import ensemble
-from lagprod.eig import EigConfig, banded_largest_eig, gershgorin_bounds, tridiag_extreme_eig
+from lagprod.eig import EigConfig, banded_largest_eig, gershgorin_bounds
 from lagprod.ensemble import (
     EnsembleParams,
+    SymmetricBanded,
     laguerre_matrix,
     potential_path,
     sample_bidiagonal,
@@ -117,8 +118,9 @@ def test_ensemble_psd_sturm_invariant():
         factor = sample_bidiagonal(EnsembleParams(n=n, kappa=kappa, beta=beta), split_stream(31337, k))
         X = laguerre_matrix(factor)
         lo, hi = gershgorin_bounds(*X.bands)
-        # within the solver certificate of the Sturm bisection
-        assert tridiag_extreme_eig(X) >= -EigConfig().rel_tol * (hi - lo)
+        # lambda_min(X) = -lambda_max(-X), within the solver certificate
+        minus_X = SymmetricBanded(tuple(-band for band in X.bands))
+        assert -banded_largest_eig(minus_X) >= -EigConfig().rel_tol * (hi - lo) / 2
 
 
 def test_single_matrix_strong_law():
