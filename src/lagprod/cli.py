@@ -8,11 +8,15 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import click
 
 from .harness import (
+    MODES,
+    SETTINGS,
+    SHARED,
     VERSIONS,
     ConfigError,
     compare_batches,
@@ -28,25 +32,16 @@ from .scaling import coupled_scaling
 from .variates import TAPE
 
 
-_TOL_HELP = ("Eigensolver tolerance (default 1e-10): each computed eigenvalue is within tol/2 "
-             "times the matrix's Gershgorin spectral diameter of the true one.")
+# each sampling command: its mode, whose settings are its flags, and its help
+_SAMPLERS = {
+    "sample-product": ("product", "Sample the centered, scaled largest eigenvalue of X_p X_q."),
+    "sample-single": ("single", "Sample the centered, scaled largest eigenvalue of one matrix."),
+    "sample-tw": ("tw-reference",
+                  "Sample the Tracy-Widom(beta) reference law from the stochastic Airy operator."),
+}
 
 
-def _common_options(fn):
-    for deco in reversed(
-        [
-            click.option("--seed", type=int, default=None, help="Master seed (64-bit unsigned)."),
-            click.option("--out", type=click.Path(path_type=Path), default=None, help="Output directory."),
-            click.option("--workers", type=int, default=None, help="Worker process count."),
-            click.option("--config", "config_path", type=click.Path(path_type=Path, exists=True), default=None,
-                         help="key = value config file; flags override file values."),
-        ]
-    ):
-        fn = deco(fn)
-    return fn
-
-
-def _run(mode: str, config_path, flags: dict) -> None:
+def _run(mode: str, config_path, **flags) -> None:
     try:
         config = resolve_config(mode, flags, config_path)
         report_path, report = run_experiment(config)
@@ -62,46 +57,23 @@ def _run(mode: str, config_path, flags: dict) -> None:
     )
 
 
+def _option(name: str) -> click.Option:
+    kind, help_text = SETTINGS[name]
+    return click.Option([f"--{name}"], type=click.Path(path_type=Path) if kind is Path else kind,
+                        default=None, help=help_text)
+
+
 @click.group()
 def main():
     """Monte Carlo lab for soft-edge laws of beta-Laguerre matrix products."""
 
 
-@main.command("sample-product")
-@click.option("--n", type=int, default=None, help="Matrix size n.")
-@click.option("--p", type=int, default=None, help="First ladder parameter (n <= p).")
-@click.option("--q", type=int, default=None, help="Second ladder parameter (p <= q).")
-@click.option("--beta", type=float, default=None, help="Ensemble beta > 0.")
-@click.option("--reps", type=int, default=None, help="Replicate count M.")
-@click.option("--tol", type=float, default=None, help=_TOL_HELP)
-@_common_options
-def sample_product(config_path, **flags):
-    """Sample the centered, scaled largest eigenvalue of X_p X_q."""
-    _run("product", config_path, flags)
-
-
-@main.command("sample-single")
-@click.option("--n", type=int, default=None, help="Matrix size n.")
-@click.option("--p", type=int, default=None, help="Ladder parameter (n <= p).")
-@click.option("--beta", type=float, default=None, help="Ensemble beta > 0.")
-@click.option("--reps", type=int, default=None, help="Replicate count M.")
-@click.option("--tol", type=float, default=None, help=_TOL_HELP)
-@_common_options
-def sample_single(config_path, **flags):
-    """Sample the centered, scaled largest eigenvalue of one matrix."""
-    _run("single", config_path, flags)
-
-
-@main.command("sample-tw")
-@click.option("--beta", type=float, default=None, help="Tracy-Widom parameter > 0.")
-@click.option("--reps", type=int, default=None, help="Replicate count M.")
-@click.option("--mesh", type=float, default=None, help="Mesh step h (default 0.02).")
-@click.option("--cutoff", type=float, default=None, help="Domain cutoff L (default 12).")
-@click.option("--tol", type=float, default=None, help=_TOL_HELP)
-@_common_options
-def sample_tw(config_path, **flags):
-    """Sample the Tracy-Widom(beta) reference law from the stochastic Airy operator."""
-    _run("tw-reference", config_path, flags)
+for _name, (_mode, _doc) in _SAMPLERS.items():
+    main.add_command(click.Command(_name, callback=partial(_run, _mode), help=_doc, params=[
+        *map(_option, [*MODES[_mode], *SHARED]),
+        click.Option(["--config", "config_path"], type=click.Path(path_type=Path, exists=True), default=None,
+                     help="key = value config file; flags override file values."),
+    ]))
 
 
 @main.command("compare")
@@ -159,12 +131,12 @@ def diagnose_potential(n, p, beta, reps, seed, out, workers):
         sys.exit(2)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "potential-path.csv"
-    write_potential_csv(csv_path, result)
+    csv_sha256 = write_potential_csv(csv_path, result)
     sup = float(abs(result["mean"] - result["reference"]).max())
     write_json(out / "potential-report.json",
                {"n": n, "p": p, "beta": beta, "reps": reps, "seed": seed, "tape": TAPE,
                 "versions": dict(VERSIONS),
-                "sup_abs_deviation": sup, "csv": str(csv_path)})
+                "sup_abs_deviation": sup, "csv": str(csv_path), "csv_sha256": csv_sha256})
     click.echo(f"wrote {csv_path}")
     click.echo(f"sup |mean - x^2/2| over the full grid: {sup:.4f}")
 

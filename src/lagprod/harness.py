@@ -6,10 +6,11 @@ the replicate index; :func:`sweep` maps the mode's replicate over
 per sampling command: ``product``, ``single`` and ``tw-reference``.  The
 potential path of ``diagnose-potential`` is a second statistic of ``single``
 draws: :func:`mean_potential_path` reads it off the very factor each
-``single`` replicate solves.  A config is frozen: it is checked once, when
-it is built, and resolves its mode's constants (product or single scaling,
-or the Airy discretization) there; the sweep and the report of a run reuse
-and show them.
+``single`` replicate solves.  One table, :data:`SETTINGS` with :data:`SHARED`
+and :data:`MODES`, says which settings each mode takes; a config refuses the
+others.  A config is frozen: it is checked once, when it is built, and
+resolves its mode's constants (product or single scaling, or the Airy
+discretization) there; the sweep and the report of a run reuse and show them.
 
 Replicate r of a run with master seed s draws only from the streams
 ``split_stream(s, r)`` (product mode: ``(s, 2r)`` and ``(s, 2r+1)``, one per
@@ -76,12 +77,31 @@ from .scaling import (ScalingConstants, closed_form_Cn, closed_form_cn, coupled_
 from .stats import SampleBatch, ks_two_sample, moments
 from .variates import TAPE, split_stream
 
-MODES = ("product", "single", "tw-reference")
+# The one table of run settings, each with its type and help: config files cast
+# by it, and each sampling command takes one flag per setting its mode takes.
+SETTINGS = {
+    "beta": (float, "Ensemble beta > 0 (for sample-tw, the Tracy-Widom parameter)."),
+    "n": (int, "Matrix size n."),
+    "p": (int, "Ladder parameter (n <= p)."),
+    "q": (int, "Second ladder parameter (p <= q)."),
+    "reps": (int, "Replicate count M."),
+    "seed": (int, "Master seed (64-bit unsigned)."),
+    "workers": (int, "Worker process count."),
+    "out": (Path, "Output directory."),
+    "tol": (float, "Eigensolver tolerance (default 1e-10): each computed eigenvalue is within "
+                   "tol/2 times the matrix's Gershgorin spectral diameter of the true one."),
+    "mesh": (float, "Mesh step h (default 0.02)."),
+    "cutoff": (float, "Domain cutoff L (default 12)."),
+}
+SHARED = ("beta", "reps", "seed", "workers", "out", "tol")  # taken by every mode
+# each mode's own settings and their defaults (None: the mode requires it); a
+# mode refuses every setting that is neither shared nor its own
+MODES = {"product": {"n": None, "p": None, "q": None}, "single": {"n": None, "p": None},
+         "tw-reference": {"mesh": DEFAULT_MESH, "cutoff": DEFAULT_CUTOFF}}
 # the process's numeric stack, for every run report; numba is never imported, only looked up
 _NUMBA = importlib.util.find_spec("numba") and importlib.metadata.version("numba")
 VERSIONS = {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__, "numba": _NUMBA or "absent"}
-_SIZES = {"product": ("n", "p", "q"), "single": ("n", "p")}
 
 
 class ConfigError(ValueError):
@@ -111,7 +131,11 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "out", Path(self.out))
         if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}; choose from {MODES}")
+            raise ConfigError(f"unknown mode {self.mode!r}; choose from {tuple(MODES)}")
+        own = MODES[self.mode]
+        foreign = [k for k in SETTINGS if k not in SHARED and k not in own and getattr(self, k) is not None]
+        if foreign:
+            raise ConfigError(f"{self.mode} mode takes no {', '.join(foreign)}")
         if self.reps < 1:
             raise ConfigError(f"reps must be >= 1, got {self.reps}")
         if self.workers < 1:
@@ -120,17 +144,17 @@ class ExperimentConfig:
             raise ConfigError(f"seed must fit in 64 bits, got {self.seed}")
         if not self.beta > 0 or not math.isfinite(self.beta):
             raise ConfigError(f"beta must be positive and finite, got {self.beta}")
-        sizes = _SIZES.get(self.mode, ())
-        if any(getattr(self, k) is None for k in sizes):
-            raise ConfigError(f"{self.mode} mode requires {', '.join(sizes)}")
+        required = [k for k, default in own.items() if default is None]
+        if any(getattr(self, k) is None for k in required):
+            raise ConfigError(f"{self.mode} mode requires {', '.join(required)}")
         try:
             self.eig_config()
             if self.mode == "product":
                 constants = coupled_scaling(self.n, self.p, self.q, self.beta)
             elif self.mode == "tw-reference":
                 constants = AiryDiscretization(
-                    beta=self.beta, h=DEFAULT_MESH if self.mesh is None else self.mesh,
-                    L=DEFAULT_CUTOFF if self.cutoff is None else self.cutoff)
+                    beta=self.beta, h=own["mesh"] if self.mesh is None else self.mesh,
+                    L=own["cutoff"] if self.cutoff is None else self.cutoff)
             else:
                 constants = single_scaling(self.n, self.p)
         except ValueError as exc:
@@ -143,14 +167,12 @@ class ExperimentConfig:
 
 # --- config files ---------------------------------------------------------
 
-_INT_KEYS = {"n", "p", "q", "reps", "seed", "workers"}
-_FLOAT_KEYS = {"beta", "tol", "mesh", "cutoff"}
-_STR_KEYS = {"out", "mode"}
-KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
-
-
 def load_config_file(path: Path | str) -> dict:
-    """Parse a ``key = value`` config file; unknown keys are hard errors."""
+    """Parse a ``key = value`` config file, casting each setting by :data:`SETTINGS`.
+
+    ``mode`` names the command the file is for; any other key that is not a setting
+    is a hard error, and so is a setting the mode does not take (when the config is built).
+    """
     out: dict = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
@@ -160,15 +182,11 @@ def load_config_file(path: Path | str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in KNOWN_KEYS:
+        if key != "mode" and key not in SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        cast = str if key == "mode" else SETTINGS[key][0]
         try:
-            if key in _INT_KEYS:
-                out[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                out[key] = float(value)
-            else:
-                out[key] = value
+            out[key] = cast(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     return out
@@ -498,10 +516,13 @@ def mean_potential_path(config: ExperimentConfig) -> dict[str, np.ndarray]:
     }
 
 
-def write_potential_csv(path: Path, result: dict[str, np.ndarray]) -> None:
+def write_potential_csv(path: Path, result: dict[str, np.ndarray]) -> str:
+    """Write the potential path table of :func:`mean_potential_path`; returns its sha256."""
     lines = ["x,mean,stderr,reference"]
     for k in range(len(result["x"])):
         lines.append(
             ",".join(repr(float(result[col][k])) for col in ("x", "mean", "stderr", "reference"))
         )
-    _write(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    _write(path, data)
+    return hashlib.sha256(data).hexdigest()

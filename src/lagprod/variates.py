@@ -40,9 +40,7 @@ def chi(gen: np.random.Generator, alpha):
 
     Sampled as sqrt of a gamma variate with shape alpha/2 and scale 2
     (correct for all alpha > 0 including shape < 1).  alpha = 0 denotes the
-    degenerate variate identically zero and consumes no tape.
+    degenerate variate identically zero and consumes no tape.  A negative
+    alpha (-0.0 included) raises ValueError, from ``standard_gamma``'s own check.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    if np.any(alpha < 0):
-        raise ValueError(f"chi parameter must be nonnegative, got {alpha}")
-    return np.sqrt(2.0 * gen.standard_gamma(0.5 * alpha))
+    return np.sqrt(2.0 * gen.standard_gamma(0.5 * np.asarray(alpha, dtype=float)))

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import hashlib
 import importlib
 import json
 import math
@@ -188,11 +189,37 @@ def test_config_file_precedence_and_validation(tmp_path):
         dict(mode="tw-reference", cutoff=math.inf),
         dict(mode="tw-reference", cutoff=math.nan),
         dict(mode="potential", n=6, p=8),  # the potential path is a statistic of single draws
+        dict(mode="product", n=4, p=5, q=6, mesh=0.05),  # a setting the mode does not take
+        dict(mode="single", n=4, p=5, q=6),
+        dict(mode="tw-reference", n=500),
     ],
 )
 def test_config_validation_errors(kwargs):
     with pytest.raises(ConfigError):
         ExperimentConfig(**kwargs)
+
+
+@pytest.mark.parametrize("command,mode", [("sample-product", "product"), ("sample-single", "single"),
+                                          ("sample-tw", "tw-reference")])
+def test_sampling_command_flags_are_its_modes_settings(command, mode):
+    options = {opt for param in cli_main.commands[command].params for opt in param.opts}
+    assert options == {f"--{k}" for k in [*harness.MODES[mode], *harness.SHARED]} | {"--config"}
+    # and the config has one field per setting of the table
+    assert [f.name for f in dataclasses.fields(ExperimentConfig)] == ["mode", *harness.SETTINGS]
+
+
+@pytest.mark.parametrize("command,body", [
+    ("sample-product", "n = 4\np = 4\nq = 4\nmesh = 0.05\ncutoff = 9\n"),
+    ("sample-tw", "n = 500\np = 3\nq = 2\n"),
+], ids=["product-mesh-cutoff", "tw-sizes"])
+def test_config_file_setting_the_mode_does_not_take_is_refused(tmp_path, command, body):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(body)
+    out = tmp_path / "out"
+    res = CliRunner().invoke(cli_main, [command, "--config", str(cfg), "--reps", "2", "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "config error:" in res.output
+    assert not out.exists()
 
 
 def test_config_is_frozen(tmp_path):
@@ -720,6 +747,7 @@ def test_cli_diagnose_potential(tmp_path):
     report = json.loads((tmp_path / "potential-report.json").read_text())
     assert report["tape"] == 2
     assert report["versions"] == harness.VERSIONS
+    assert report["csv_sha256"] == hashlib.sha256((tmp_path / "potential-path.csv").read_bytes()).hexdigest()
 
     # the same checks as the sampling commands: exit 2, nothing written
     for args in (["--n", "10", "--p", "9"], ["--n", "10", "--p", "12", "--beta", "inf"],

@@ -107,6 +107,26 @@ def test_scale_invariance_and_asymptotic_stability():
     assert abs(a.c_n - b.c_n) < 1e-3
 
 
+def test_large_q_limit_operative_Cn_tends_to_one():
+    # as q/n -> infinity, X_q/q -> I: the product is a scalar times one Laguerre
+    # matrix, so beta0 -> beta; the printed closed form instead grows like sqrt(q/n)
+    ratios = (10**3, 10**5, 10**7)
+    C = [coupled_scaling(64, 64, 64 * r, 1.0).C_n for r in ratios]
+    assert C == pytest.approx([1.1499, 1.01573, 1.00158], abs=5e-5)
+    assert C[0] > C[1] > C[2] > 1.0
+    assert C[1] - 1 < 0.02 and C[2] - 1 < 0.002
+    printed = [closed_form_Cn(64, 64, 64 * r) / math.sqrt(r) for r in ratios]
+    assert printed == pytest.approx([1.028, 1.0031, 1.0003], abs=5e-4)
+    assert abs(printed[2] - 1) < 1e-3
+    # both depend only on the ratios
+    for n in (1, 4096):
+        for r, c, f in zip(ratios, C, printed):
+            sc = coupled_scaling(n, n, n * r, 1.0)
+            assert sc.C_n == pytest.approx(c, rel=1e-12)
+            assert sc.beta0 == pytest.approx(c, rel=1e-12)
+            assert closed_form_Cn(n, n, n * r) / math.sqrt(r) == pytest.approx(f, rel=1e-12)
+
+
 def test_product_statistic_centering_and_unit_scale():
     sc = coupled_scaling(16, 20, 30, 2.0)
     assert product_statistic(sc.mu_n, sc) == 0.0
