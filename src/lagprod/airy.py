@@ -8,12 +8,13 @@ condition at 0 is discretized on a uniform mesh of step h:
 
 with g_k i.i.d. standard normal (the integrated white noise over cell k,
 scaled to unit variance).  Minus the smallest eigenvalue of A is one
-Tracy-Widom(beta) sample.  The noiseless bands (the deterministic operator,
-with ground state 2.3381... as h -> 0) are built once per (h, N),
-read-only, and each sample adds its noise to a copy of the diagonal.  That
-operator's ground-state eigenvector is also computed once per (h, N),
-read-only: every sample's solve starts from it, so dstebz bisects only a
-window around the noisy ground state (see
+Tracy-Widom(beta) sample; samples from several streams are drawn as one
+stack of matrices along a leading axis.  The noiseless bands (the
+deterministic operator, with ground state 2.3381... as h -> 0) are built
+once per (h, N), read-only, and each sample adds its noise to a copy of the
+diagonal.  That operator's ground-state eigenvector is also computed once
+per (h, N), read-only: every sample's solve starts from it, so dstebz
+bisects only a window around the noisy ground state (see
 :func:`lagprod.eig.tridiag_extreme_eig`).
 
 The cell noise is realized by summing a fixed micro-mesh Brownian tape, so
@@ -67,6 +68,11 @@ class AiryDiscretization:
     def N(self) -> int:
         return int(round(self.L / self.h))
 
+    @property
+    def mc(self) -> int:
+        """Micro-increments per cell: round(h / MICRO_STEP), at least 1."""
+        return max(1, int(round(self.h / MICRO_STEP)))
+
 
 @lru_cache(maxsize=8)
 def _noiseless_bands(h: float, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -86,33 +92,46 @@ def _ground_state(h: float, N: int) -> np.ndarray:
 
 
 def airy_tridiagonal(beta: float, h: float, N: int, noise: np.ndarray) -> SymmetricBanded:
-    """Discretized operator matrix for the given per-cell noise realization."""
+    """Discretized operator matrix for the given per-cell noise realization.
+
+    ``noise`` of shape (N,) gives one matrix; (B, N) gives a stack of B, whose
+    rows share one read-only off-diagonal.
+    """
     diag, offdiag = _noiseless_bands(h, N)
+    if np.ndim(noise) > 1:
+        offdiag = np.broadcast_to(offdiag, (len(noise), N - 1))
     return SymmetricBanded((diag + (2.0 / math.sqrt(beta)) * noise / math.sqrt(h), offdiag))
 
 
-def cell_noise(disc: AiryDiscretization, stream: np.random.Generator) -> np.ndarray:
-    """Per-cell unit normals from the stream's micro-mesh Brownian tape.
+def cell_noise(disc: AiryDiscretization, streams) -> np.ndarray:
+    """Per-cell unit normals from each stream's micro-mesh Brownian tape.
 
-    Cell k aggregates micro-increments mc*(k-1)..mc*k-1 of the tape, where
-    mc = round(h / MICRO_STEP) (at least 1); the normalized sums are exactly
+    ``streams`` is one generator, giving shape (N,), or a sequence of B
+    generators, giving (B, N), row b drawn from stream b alone.  Cell k
+    aggregates micro-increments mc*(k-1)..mc*k-1 of the tape, where
+    mc = :attr:`AiryDiscretization.mc`; the normalized sums are exactly
     i.i.d. standard normal for any h.
     """
-    mc = max(1, int(round(disc.h / MICRO_STEP)))
-    micro = stream.standard_normal(disc.N * mc)
-    return micro.reshape(disc.N, mc).sum(axis=1) / math.sqrt(mc)
+    mc = disc.mc
+    single = isinstance(streams, np.random.Generator)
+    if single:
+        streams = [streams]
+    micro = np.empty((len(streams), disc.N * mc))
+    for row, stream in zip(micro, streams):
+        stream.standard_normal(out=row)
+    noise = micro.reshape(len(streams), disc.N, mc).sum(axis=-1) / math.sqrt(mc)
+    return noise[0] if single else noise
 
 
-def sample_tw(
-    disc: AiryDiscretization, stream: np.random.Generator, cfg: EigConfig | None = None
-) -> float:
-    """One Tracy-Widom(beta) sample: minus the smallest eigenvalue of A.
+def sample_tw(disc: AiryDiscretization, streams, cfg: EigConfig | None = None):
+    """Tracy-Widom(beta) samples: minus the smallest eigenvalue of A.
 
-    Pure function of (disc, stream state); the smallest eigenvalue is found
-    by LAPACK bisection (dstebz), within rel_tol * D / 2 of the true one,
-    over a window certified from the noiseless ground state (nan if the
-    window holds no eigenvalue).
+    One sample (a float) from one generator, or an array of B samples from a
+    sequence of B generators, sample b a pure function of (disc, the state
+    of stream b).  The smallest eigenvalue is found by LAPACK bisection
+    (dstebz), within rel_tol * D / 2 of the true one, over a window
+    certified from the noiseless ground state (nan if the window holds no
+    eigenvalue).
     """
-    A = airy_tridiagonal(disc.beta, disc.h, disc.N, cell_noise(disc, stream))
+    A = airy_tridiagonal(disc.beta, disc.h, disc.N, cell_noise(disc, streams))
     return -tridiag_extreme_eig(A, cfg, _ground_state(disc.h, disc.N))
-

@@ -19,7 +19,11 @@ from a start vector near the ground state.  dstebz stops once its bracket
 is below rel_tol * D and returns the bracket's midpoint, so this value too
 lies within rel_tol * D / 2 of the true one: every solver has that bound.
 
-Either solver gives nan for a matrix with a non-finite entry.
+Either solver takes one matrix or a stack of them along a leading axis
+(see :class:`lagprod.ensemble.SymmetricBanded`).  The band arithmetic runs
+once per stack; the LAPACK calls run once per matrix, so each matrix gets
+the value it would get alone.  Either solver gives nan for a matrix with a
+non-finite entry, and only for that matrix.
 """
 
 from __future__ import annotations
@@ -60,62 +64,84 @@ class EigConfig:
             raise ValueError(f"rel_tol must lie in (0, 1e-2], got {self.rel_tol}")
 
 
-def gershgorin_bounds(diag: np.ndarray, *offdiags: np.ndarray) -> tuple[float, float]:
+def gershgorin_bounds(diag: np.ndarray, *offdiags: np.ndarray) -> tuple:
     """Enclosing interval [lo, hi] for the spectrum of the symmetric banded
-    matrix with main diagonal ``diag`` and k-th off-diagonals ``offdiags[k-1]``."""
-    r = np.zeros(len(diag))
+    matrix with main diagonal ``diag`` and k-th off-diagonals ``offdiags[k-1]``.
+
+    Bands of shape (n-k,) give two floats; bands of shape (B, n-k), a stack
+    of B matrices, give two arrays of shape (B,), one bound per matrix."""
+    r = np.zeros(np.shape(diag))
     for k, band in enumerate(offdiags, start=1):
         a = np.abs(band)
-        r[:-k] += a
-        r[k:] += a
-    return float((diag - r).min()), float((diag + r).max())
+        r[..., :-k] += a
+        r[..., k:] += a
+    return (diag - r).min(axis=-1), (diag + r).max(axis=-1)
 
 
-def tridiag_extreme_eig(T: SymmetricBanded, cfg: EigConfig | None, start: np.ndarray) -> float:
+def _stacked(S: SymmetricBanded) -> tuple[list[np.ndarray], bool]:
+    """The bands of S, one row per matrix, and whether S is one matrix (then a stack of one)."""
+    single = S.bands[0].ndim == 1
+    return [b[None] if single else b for b in S.bands], single
+
+
+def tridiag_extreme_eig(T: SymmetricBanded, cfg: EigConfig | None, start: np.ndarray):
     """Smallest eigenvalue of the tridiagonal T by LAPACK Sturm bisection (dstebz).
 
-    dstebz bisects only the window of :func:`_ground_window`, built from the
-    unit vector ``start``, until each bracket is narrower than rel_tol times
-    the Gershgorin spectral diameter D of T, and returns the midpoint of the
-    lowest one: within rel_tol * D / 2 of the true eigenvalue.  It resolves
-    every eigenvalue in the window, so pass a start near the ground state.
-    A non-finite entry, or a window holding no eigenvalue, gives nan.  Only
-    the Airy sampler calls this; the name is the one ``benchmark/runner.py``
-    traces.
+    T is one matrix, giving a float, or a stack of B matrices (bands of
+    shapes (B, n) and (B, n-1)), giving an array of shape (B,).  For each
+    matrix, dstebz bisects only the window of :func:`_ground_window`, built
+    from the unit vector ``start`` (shape (n,), shared by the stack), until
+    each bracket is narrower than rel_tol times the Gershgorin spectral
+    diameter D of that matrix, and returns the midpoint of the lowest one:
+    within rel_tol * D / 2 of the true eigenvalue.  It resolves every
+    eigenvalue in the window, so pass a start near the ground state.  A
+    non-finite entry, or a window holding no eigenvalue, gives nan for that
+    matrix alone.  Only the Airy sampler calls this; the name is the one
+    ``benchmark/runner.py`` traces.
     """
     cfg = cfg or EigConfig()
-    diag, offdiag = T.bands
+    (diag, offdiag), single = _stacked(T)
     lo, hi = gershgorin_bounds(diag, offdiag)
-    if not math.isfinite(hi - lo):  # a non-finite entry
-        return math.nan
-    if lo == hi:  # T = cI, n = 1 included (dstebz takes no empty off-diagonal)
-        return lo
-    # dstebz squares the off-diagonal; dividing by the power of two just
-    # above max(-lo, hi) >= every |entry| (exact) keeps those squares from
-    # underflowing to zero
-    s = math.ldexp(1.0, math.frexp(max(-lo, hi))[1])
-    diag, offdiag, lo, hi = diag / s, offdiag / s, lo / s, hi / s
-    vl, vu = _ground_window(diag, offdiag, start, lo, hi)
-    if not vl < vu:  # dstebz rejects an empty window (and prints so); a nan start gives one
-        return math.nan
-    count, w, _, _, info = dstebz(diag, offdiag, 1, vl, vu, 0, 0, cfg.rel_tol * (hi - lo), "E")
-    return s * float(w[0]) if count and info == 0 else math.nan
+    # dstebz squares the off-diagonal; dividing each matrix by the power of
+    # two just above max(-lo, hi) >= every |entry| (exact) keeps those
+    # squares from underflowing to zero
+    s = np.ldexp(1.0, np.frexp(np.maximum(-lo, hi))[1])
+    diag, offdiag = diag / s[:, None], offdiag / s[:, None]
+    squares = (start * start, start[:-1] * start[1:])
+    values = []
+    for i, (lo_i, hi_i, s_i) in enumerate(zip(lo.tolist(), hi.tolist(), s.tolist())):
+        values.append(math.nan)
+        if not math.isfinite(hi_i - lo_i):  # a non-finite entry
+            continue
+        if lo_i == hi_i:  # T = cI, n = 1 included (dstebz takes no empty off-diagonal)
+            values[i] = lo_i
+            continue
+        lo_i, hi_i = lo_i / s_i, hi_i / s_i
+        vl, vu = _ground_window(diag[i], offdiag[i], squares, lo_i, hi_i)
+        if not vl < vu:  # dstebz rejects an empty window (and prints so); a nan start gives one
+            continue
+        count, w, _, _, info = dstebz(diag[i], offdiag[i], 1, vl, vu, 0, 0,
+                                      cfg.rel_tol * (hi_i - lo_i), "E")
+        if count and info == 0:
+            values[i] = s_i * float(w[0])
+    return values[0] if single else np.array(values)
 
 
 def _ground_window(
-    diag: np.ndarray, offdiag: np.ndarray, start: np.ndarray, lo: float, hi: float
+    diag: np.ndarray, offdiag: np.ndarray, squares: tuple[np.ndarray, np.ndarray],
+    lo: float, hi: float,
 ) -> tuple[float, float]:
     """Window (vl, vu] holding lambda_min of the tridiagonal with Gershgorin bounds [lo, hi].
 
-    The Rayleigh quotient rho of the unit vector ``start`` bounds lambda_min
-    from above.  At sigma = rho - (rho - lo) / WINDOW_STEP, a successful
-    LDL^T factorization (LAPACK dpttrf) of T - sigma I proves
-    lambda_min > sigma; a failed one proves lambda_min <= sigma, and lo is
-    the lower end instead.  Each end is widened by 4 n eps ||T||_1 (with
-    ||T||_1 = max(|lo|, |hi|)) for the rounding of rho, of the factorization
-    and of dstebz's Sturm counts.
+    ``squares`` are v * v and v[:-1] * v[1:] of the unit start vector v,
+    whose Rayleigh quotient rho bounds lambda_min from above.  At
+    sigma = rho - (rho - lo) / WINDOW_STEP, a successful LDL^T factorization
+    (LAPACK dpttrf) of T - sigma I proves lambda_min > sigma; a failed one
+    proves lambda_min <= sigma, and lo is the lower end instead.  Each end is
+    widened by 4 n eps ||T||_1 (with ||T||_1 = max(|lo|, |hi|)) for the
+    rounding of rho, of the factorization and of dstebz's Sturm counts.
     """
-    rho = float(np.dot(diag, start * start) + 2.0 * np.dot(offdiag, start[:-1] * start[1:]))
+    rho = float(np.dot(diag, squares[0]) + 2.0 * np.dot(offdiag, squares[1]))
     margin = 4 * len(diag) * EPS * max(-lo, hi)
     sigma = rho - (rho - lo) / WINDOW_STEP
     if dpttrf(diag - sigma, offdiag)[2] == 0:
@@ -123,10 +149,13 @@ def _ground_window(
     return lo - margin, min(rho, sigma) + margin
 
 
-def banded_largest_eig(S: SymmetricBanded, cfg: EigConfig | None = None) -> float:
+def banded_largest_eig(S: SymmetricBanded, cfg: EigConfig | None = None):
     """Largest eigenvalue of a symmetric band matrix of any bandwidth kd.
 
-    With [lo, hi] the Gershgorin interval of S and h = rel_tol * (hi - lo) / 2,
+    S is one matrix, giving a float, or a stack of B matrices (band k of
+    shape (B, n-k)), giving an array of shape (B,), each matrix solved on
+    its own by the LAPACK calls below in one band workspace.  With [lo, hi]
+    the Gershgorin interval of a matrix S and h = rel_tol * (hi - lo) / 2,
     the edge solve takes the top eigenvalue theta of the leading k x k block
     S_k, starting at k = ceil(EDGE_ROWS * n^(1/3)), and returns it once
     (theta - h)I - S_k fails to factor (so lambda_max(S) >= lambda_max(S_k) >=
@@ -137,34 +166,49 @@ def banded_largest_eig(S: SymmetricBanded, cfg: EigConfig | None = None) -> floa
     halvings bring the bracket below 2h, and its midpoint is returned.
     Either way the value is within h of lambda_max(S).  Cholesky is backward
     stable, so the certificate holds up to rounding of order
-    n * eps * ||S||_1.  A non-finite entry gives nan.
+    n * eps * ||S||_1.  A non-finite entry gives nan for that matrix alone.
     """
     cfg = cfg or EigConfig()
-    n, diag = S.n, S.bands[0]
-    lo, hi = gershgorin_bounds(*S.bands)
-    if not math.isfinite(hi - lo):  # a non-finite entry
-        return math.nan
-    h = 0.5 * cfg.rel_tol * (hi - lo)
-    # lower band storage of xI - S: row 0 diagonal, rows 1..kd sub-diagonals;
-    # its first k columns hold the leading k x k block
-    ab = np.zeros((len(S.bands), n))
-    for off, band in enumerate(S.bands[1:], start=1):
-        ab[off, : len(band)] = -band
+    bands, single = _stacked(S)
+    lo, hi = gershgorin_bounds(*bands)
+    # minus the off-diagonals, as they sit in the lower band storage of xI - S
+    negated = [-band for band in bands[1:]]
+    # that storage for one matrix at a time: row 0 diagonal, rows 1..kd
+    # sub-diagonals; its first k columns hold the leading k x k block, which
+    # Fortran order keeps contiguous, so LAPACK gets it without a transposing copy
+    n = S.n
+    ab = np.zeros((len(bands), n), order="F")
+    values = []
+    for i, (lo_i, hi_i) in enumerate(zip(lo.tolist(), hi.tolist())):
+        if not math.isfinite(hi_i - lo_i):  # a non-finite entry
+            values.append(math.nan)
+            continue
+        for off, band in enumerate(negated, start=1):
+            ab[off, : band.shape[1]] = band[i]
+        values.append(_edge_solve(ab, bands[0][i], lo_i, hi_i, cfg.rel_tol))
+    return values[0] if single else np.array(values)
+
+
+def _edge_solve(ab: np.ndarray, diag: np.ndarray, lo: float, hi: float, rel_tol: float) -> float:
+    """The certified solve of :func:`banded_largest_eig` for one matrix with
+    Gershgorin interval [lo, hi], whose off-diagonals ``ab`` already holds."""
+    n = len(diag)
+    h = 0.5 * rel_tol * (hi - lo)
 
     def factors(x: float, k: int) -> bool:
-        ab[0, :k] = x - diag[:k]
+        np.subtract(x, diag[:k], out=ab[0, :k])
         return dpbtrf(ab[:, :k], lower=1)[1] == 0
 
     k = math.ceil(EDGE_ROWS * n ** (1 / 3))
     while k < n and h > n * EPS * max(abs(lo), abs(hi)):
         # at x = 0 the block is -S_k, whose smallest eigenvalue is -lambda_max(S_k)
-        ab[0, :k] = -diag[:k]
+        np.negative(diag[:k], out=ab[0, :k])
         w = dsbevx(ab[:, :k], 0.0, 0.0, 1, 1, compute_v=0, range=2, lower=1, overwrite_ab=0)[0]
         theta = -float(w[0])
         if not factors(theta - h, k) and factors(theta + h, n):
             return theta
         k *= 2
-    for _ in range(math.ceil(-math.log2(cfg.rel_tol))):
+    for _ in range(math.ceil(-math.log2(rel_tol))):
         mid = 0.5 * (lo + hi)
         if factors(mid, n):
             hi = mid

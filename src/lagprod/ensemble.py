@@ -7,6 +7,11 @@ scaled Gram matrix X = B^T B / beta, which is symmetric tridiagonal and
 positive semidefinite; the 1/beta makes (sqrt(n)+sqrt(kappa))^2 the correct
 centering for its largest eigenvalue.  It is stored as a
 :class:`SymmetricBanded`, the band type of every matrix model here.
+
+Factors and band matrices stack along a leading axis: a factor's entries,
+and each band, are either 1-D (one matrix) or 2-D with one row per matrix,
+and every function here works row by row with the same floating-point
+operations, so a row's values do not depend on the rest of its stack.
 """
 
 from __future__ import annotations
@@ -38,7 +43,10 @@ class EnsembleParams:
 
 @dataclass(frozen=True)
 class BidiagonalFactor:
-    """Realized chi entries of one lower-bidiagonal factor."""
+    """Realized chi entries of one lower-bidiagonal factor, or of a stack of them.
+
+    ``diag`` has shape (n,) and ``subdiag`` (n-1,), or (B, n) and (B, n-1)
+    for a stack of B factors sharing (n, kappa, beta)."""
 
     n: int
     kappa: int
@@ -47,24 +55,29 @@ class BidiagonalFactor:
     subdiag: np.ndarray
 
     def __post_init__(self):
-        if len(self.diag) != self.n or len(self.subdiag) != self.n - 1:
+        if self.diag.shape[-1] != self.n or self.subdiag.shape[-1] != self.n - 1:
             raise ValueError("factor entry lengths do not match n")
 
 
 @dataclass(frozen=True)
 class SymmetricBanded:
-    """Symmetric band matrix stored as its main diagonal, then off-diagonals 1..kd."""
+    """Symmetric band matrix stored as its main diagonal, then off-diagonals 1..kd.
+
+    Band k has shape (n-k,) for one matrix, or (B, n-k) for a stack of B
+    matrices, one per row.  :meth:`dense` and :meth:`one_norm` take one matrix.
+    """
 
     bands: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        n = len(self.bands[0])
-        if [len(b) for b in self.bands] != [max(n - k, 0) for k in range(len(self.bands))]:
-            raise ValueError("band lengths must be n, n-1, ..., n-kd")
+        shapes = [b.shape for b in self.bands]
+        *stack, n = shapes[0]
+        if shapes != [(*stack, max(n - k, 0)) for k in range(len(shapes))]:
+            raise ValueError("band lengths must be n, n-1, ..., n-kd, in stacks of one length")
 
     @property
     def n(self) -> int:
-        return len(self.bands[0])
+        return self.bands[0].shape[-1]
 
     def dense(self) -> np.ndarray:
         A = np.diag(np.asarray(self.bands[0], dtype=float))
@@ -105,23 +118,25 @@ def sample_bidiagonal(params: EnsembleParams, stream: np.random.Generator) -> Bi
 
 
 def laguerre_matrix(factor: BidiagonalFactor) -> SymmetricBanded:
-    """Form X = B^T B / beta without densifying.
+    """Form X = B^T B / beta without densifying, for one factor or a stack.
 
+    Bands (n,) and (n-1,) for one factor, (B, n) and (B, n-1) for a stack of B.
     Entrywise, ``X[j,j] = (diag[j]^2 + subdiag[j]^2)/beta`` (the last
     subdiagonal term is the degenerate chi_0 = 0, never a sampled value) and
     ``X[j,j+1] = diag[j+1]*subdiag[j]/beta``.
     """
     d, s, beta = factor.diag, factor.subdiag, factor.beta
     diag = d * d
-    diag[:-1] += s * s
-    off = d[1:] * s
+    diag[..., :-1] += s * s
+    off = d[..., 1:] * s
     return SymmetricBanded((diag / beta, off / beta))
 
 
 def potential_path(factor: BidiagonalFactor, scaling) -> np.ndarray:
-    """Realized potential path y_1(x) + y_2(x) of one sampled matrix.
+    """Realized potential path y_1(x) + y_2(x) of one sampled matrix, or of a stack.
 
-    Returns its values at x_k = k/m (k = 1..n-1), the cumulative sum of
+    Returns its values at x_k = k/m (k = 1..n-1), shape (n-1,) for one factor
+    and (B, n-1) for a stack of B; each is the cumulative sum of
     the diagonal deviations ``(n + i) - beta^{-1}(chi^2 + chi~^2)`` plus the
     off-diagonal deviations ``2(sqrt(n i) - beta^{-1} chi chi~)``, scaled by
     m/sqrt(n i).  Its empirical mean approaches x^2/2 as n grows; the noise
@@ -137,5 +152,5 @@ def potential_path(factor: BidiagonalFactor, scaling) -> np.ndarray:
         )
     n, i = factor.n, factor.kappa
     diag, offdiag = laguerre_matrix(factor).bands
-    terms = scaling.mu - (diag[:-1] + 2.0 * offdiag)
-    return np.cumsum(terms) * (scaling.m / np.sqrt(float(n) * float(i)))
+    terms = scaling.mu - (diag[..., :-1] + 2.0 * offdiag)
+    return np.cumsum(terms, axis=-1) * (scaling.m / np.sqrt(float(n) * float(i)))

@@ -1,8 +1,15 @@
 """Experiment runner: config ingestion, one seeded parallel sweep, persistence.
 
-Every mode is a replicate function ``fn(config, r)`` of the config and
-the replicate index; :func:`sweep` maps the mode's replicate over
-``r = 0..reps-1`` and is the one place a batch is drawn.  There is one mode
+Every mode is a chunk function ``fn(config, start, stop)`` of the config
+and a run of replicate indices, returning the rows of replicates
+``start..stop-1``; :func:`sweep` maps the mode's chunk function over
+``0..reps-1`` and is the one place a batch is drawn.  A chunk function cuts
+its run into blocks of at most :data:`STACK_DOUBLES` doubles per stacked
+array, draws each replicate of a block from its own stream, stacks the
+draws along a leading axis, and runs the matrix assembly, the solve and the
+statistic once per block (only the LAPACK calls run once per matrix).  Each
+row is computed with the same floating-point operations as it would be
+alone, so no value depends on how replicates are grouped.  There is one mode
 per sampling command: ``product``, ``single`` and ``tw-reference``.  The
 potential path of ``diagnose-potential`` is a second statistic of ``single``
 draws: :func:`mean_potential_path` reads it off the very factor each
@@ -21,16 +28,17 @@ worker count is capped at the replicate count; one worker runs in-process.
 At w >= 2 workers the process keeps w - 1 helper processes, each joined to
 it by a pipe, forked at the first parallel sweep of that count and reused
 by every later one; a sweep at another count terminates them and forks new
-ones.  A sweep cuts the replicates into w chunks of ceil(reps/w): the
-caller runs chunk 0 itself, helper k is sent chunk k as ``(fn, start,
-stop)``, and the caller then receives the helpers' rows in order.  Any
-failure (an exception in any chunk, or a helper that dies) terminates and
-joins every helper before it is raised, so no later sweep reads a stale
-chunk.  Helpers keep the module state (and the open files) of the process
-as of their fork, so a monkeypatch applied later reaches ``workers=1``
-sweeps and the caller's chunk, not the helpers' chunks.  Helpers are
-daemonic, so multiprocessing's exit handler terminates and joins them at
-interpreter exit; when the caller is killed they read end-of-file and exit.
+ones.  A sweep cuts the replicates into w chunks of floor(reps/w) or
+ceil(reps/w): the caller runs chunk 0 itself, helper k is sent chunk k as
+``(fn, start, stop)``, and the caller then receives the helpers' rows in
+order.  Any failure (an exception in any chunk, or a helper that dies)
+terminates and joins every helper before it is raised, so no later sweep
+reads a stale chunk.  Helpers keep the module state (and the open files)
+of the process as of their fork, so a monkeypatch applied later reaches
+``workers=1`` sweeps and the caller's chunk, not the helpers' chunks.
+Helpers are daemonic, so multiprocessing's exit handler terminates and joins
+them at interpreter exit; when the caller is killed they read end-of-file
+and exit.
 
 Persistence formats:
 
@@ -70,7 +78,8 @@ import scipy
 
 from .airy import DEFAULT_CUTOFF, DEFAULT_MESH, AiryDiscretization, sample_tw
 from .eig import EigConfig, banded_largest_eig
-from .ensemble import EnsembleParams, laguerre_matrix, potential_path, sample_bidiagonal
+from .ensemble import (BidiagonalFactor, EnsembleParams, laguerre_matrix, potential_path,
+                       sample_bidiagonal)
 from .product import product_similarity
 from .scaling import (ScalingConstants, closed_form_Cn, closed_form_cn, coupled_scaling,
                       product_statistic, single_scaling)
@@ -207,32 +216,58 @@ def resolve_config(mode: str, flags: dict, config_path: Path | str | None = None
         raise ConfigError(str(exc)) from exc
 
 
-# --- replicates: fn(config, r), top level for picklability -----------------
+# --- replicates: chunk functions fn(config, start, stop), top level for picklability
+
+# the most doubles a stacked array of one block holds (at least one replicate
+# per block), so a chunk's memory does not grow with its replicate count
+STACK_DOUBLES = 2**16
 
 
-def _factor(config: ExperimentConfig, kappa: int, stream: int):
+def _blocks(start: int, stop: int, width: int) -> list[range]:
+    """Consecutive runs of replicates start..stop-1, each stacking at most
+    :data:`STACK_DOUBLES` doubles at ``width`` doubles per replicate."""
+    step = max(1, STACK_DOUBLES // width)
+    return [range(a, min(a + step, stop)) for a in range(start, stop, step)]
+
+
+def _factors(config: ExperimentConfig, kappa: int, streams) -> BidiagonalFactor:
+    """The factors drawn from the run's given streams, one each, stacked in that order."""
     params = EnsembleParams(n=config.n, kappa=kappa, beta=config.beta)
-    return sample_bidiagonal(params, split_stream(config.seed, stream))
+    drawn = [sample_bidiagonal(params, split_stream(config.seed, s)) for s in streams]
+    return BidiagonalFactor(n=config.n, kappa=kappa, beta=config.beta,
+                            diag=np.array([f.diag for f in drawn]),
+                            subdiag=np.array([f.subdiag for f in drawn]))
 
 
-def _product_replicate(config: ExperimentConfig, r: int) -> float:
-    B_p, B_q = _factor(config, config.p, 2 * r), _factor(config, config.q, 2 * r + 1)
-    S = product_similarity(B_q, laguerre_matrix(B_p))
-    return product_statistic(banded_largest_eig(S, config.eig_config()), config.constants)
+def _product_replicate(config: ExperimentConfig, start: int, stop: int) -> np.ndarray:
+    rows = []
+    for block in _blocks(start, stop, 2 * config.n):
+        B_p = _factors(config, config.p, [2 * r for r in block])
+        B_q = _factors(config, config.q, [2 * r + 1 for r in block])
+        S = product_similarity(B_q, laguerre_matrix(B_p))
+        rows.append(product_statistic(banded_largest_eig(S, config.eig_config()), config.constants))
+    return np.concatenate(rows)
 
 
-def _single_replicate(config: ExperimentConfig, r: int) -> float:
-    X = laguerre_matrix(_factor(config, config.p, r))
+def _single_replicate(config: ExperimentConfig, start: int, stop: int) -> np.ndarray:
     s = config.constants
-    return (banded_largest_eig(X, config.eig_config()) - s.mu) / s.sigma
+    rows = []
+    for block in _blocks(start, stop, 2 * config.n):
+        X = laguerre_matrix(_factors(config, config.p, block))
+        rows.append((banded_largest_eig(X, config.eig_config()) - s.mu) / s.sigma)
+    return np.concatenate(rows)
 
 
-def _tw_replicate(config: ExperimentConfig, r: int) -> float:
-    return sample_tw(config.constants, split_stream(config.seed, r), config.eig_config())
+def _tw_replicate(config: ExperimentConfig, start: int, stop: int) -> np.ndarray:
+    disc = config.constants
+    return np.concatenate([
+        sample_tw(disc, [split_stream(config.seed, r) for r in block], config.eig_config())
+        for block in _blocks(start, stop, disc.N * disc.mc)])
 
 
-def _path_replicate(config: ExperimentConfig, r: int) -> np.ndarray:
-    return potential_path(_factor(config, config.p, r), config.constants)
+def _path_replicate(config: ExperimentConfig, start: int, stop: int) -> np.ndarray:
+    return np.concatenate([potential_path(_factors(config, config.p, block), config.constants)
+                           for block in _blocks(start, stop, 2 * config.n)])
 
 
 # the process's helpers, ((pid, workers), [(process, pipe end), ...]); see the module docstring
@@ -248,7 +283,7 @@ def _serve(conn, ours) -> None:
         except EOFError:
             return
         try:
-            conn.send([fn(r) for r in range(start, stop)])
+            conn.send(fn(start, stop))
         except Exception as exc:
             conn.send((exc, traceback.format_exc()))
 
@@ -262,21 +297,22 @@ def _start_helper():
     return proc, ours
 
 
-def _pmap(fn, count: int, workers: int) -> list:
+def _pmap(fn, count: int, workers: int) -> np.ndarray:
+    """The rows of the chunk function ``fn(start, stop)`` over replicates 0..count-1, in order."""
     global _pool
     workers = min(workers, count)
     if workers <= 1:
-        return [fn(r) for r in range(count)]
+        return fn(0, count)
     key = (os.getpid(), workers)
     if _pool is None or _pool[0] != key:
         _drop_pool()
         _pool = key, [_start_helper() for _ in range(workers - 1)]
-    size = -(-count // workers)
+    bounds = [k * count // workers for k in range(workers + 1)]
     try:
         # one chunk per process, so fn is pickled once per helper, not per replicate
         for k, (_, conn) in enumerate(_pool[1], start=1):
-            conn.send((fn, k * size, min(count, (k + 1) * size)))
-        rows = [fn(r) for r in range(size)]
+            conn.send((fn, bounds[k], bounds[k + 1]))
+        parts = [fn(0, bounds[1])]
         for proc, conn in _pool[1]:
             try:
                 part = conn.recv()
@@ -286,8 +322,8 @@ def _pmap(fn, count: int, workers: int) -> list:
                                    f"with code {proc.exitcode}") from None
             if isinstance(part, tuple):
                 raise part[0] from RuntimeError(f"in helper process {proc.pid}:\n{part[1]}")
-            rows += part
-        return rows
+            parts.append(part)
+        return np.concatenate(parts)
     except BaseException:
         _drop_pool()  # a failed sweep leaves no work behind in the helpers
         raise
@@ -309,7 +345,7 @@ def sweep(config: ExperimentConfig) -> np.ndarray:
     # looked up per call, so a replicate patched on the module is the one run
     replicate = {"product": _product_replicate, "single": _single_replicate,
                  "tw-reference": _tw_replicate}[config.mode]
-    return np.array(_pmap(partial(replicate, config), config.reps, config.workers))
+    return _pmap(partial(replicate, config), config.reps, config.workers)
 
 
 # --- persistence -----------------------------------------------------------
@@ -506,7 +542,7 @@ def mean_potential_path(config: ExperimentConfig) -> dict[str, np.ndarray]:
     if config.n < 2:
         raise ConfigError(f"the potential path needs n >= 2 for a grid point, got n={config.n}")
     M = config.reps
-    paths = np.array(_pmap(partial(_path_replicate, config), M, config.workers))
+    paths = _pmap(partial(_path_replicate, config), M, config.workers)
     x = np.arange(1, config.n) / config.constants.m
     return {
         "x": x,

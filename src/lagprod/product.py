@@ -18,6 +18,10 @@ from .ensemble import BidiagonalFactor, SymmetricBanded
 def product_similarity(B_q: BidiagonalFactor, X_p: SymmetricBanded) -> SymmetricBanded:
     """Assemble S = B_q X_p B_q^T / beta, sharing the spectrum of X_p X_q.
 
+    Takes one factor and matrix, giving bands of shapes (n,), (n-1,) and
+    (n-2,), or stacks of B of each, row r of one paired with row r of the
+    other, giving (B, n), (B, n-1) and (B, n-2).
+
     The single 1/beta carries X_q's scaling convention; X_p is passed already
     scaled.  No entry of B_q needs to be positive: with A = X_p B_q^T and
     B = B_q / beta, S = BA and X_p X_q = AB, and AB and BA share their
@@ -32,8 +36,8 @@ def product_similarity(B_q: BidiagonalFactor, X_p: SymmetricBanded) -> Symmetric
 
     # at n <= 2 the slices past the matrix are empty, so no size needs a branch
     diag = d * d * a
-    diag[1:] += 2.0 * d[1:] * s * b + s * s * a[:-1]
-    off1 = d[:-1] * (d[1:] * b + s * a[:-1])
-    off1[1:] += s[:-1] * s[1:] * b[:-1]
-    off2 = d[:-2] * s[1:] * b[:-1]
+    diag[..., 1:] += 2.0 * d[..., 1:] * s * b + s * s * a[..., :-1]
+    off1 = d[..., :-1] * (d[..., 1:] * b + s * a[..., :-1])
+    off1[..., 1:] += s[..., :-1] * s[..., 1:] * b[..., :-1]
+    off2 = d[..., :-2] * s[..., 1:] * b[..., :-1]
     return SymmetricBanded((diag / beta, off1 / beta, off2 / beta))

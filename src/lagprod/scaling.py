@@ -166,8 +166,10 @@ def closed_form_Cn(n: int, p: int, q: int) -> float:
     return 1.0 + (p * tp + q * tq) / (math.sqrt(p * q) * (tp + tq))
 
 
-def product_statistic(lambda_max: float, sc: ScalingConstants) -> float:
+def product_statistic(lambda_max, sc: ScalingConstants):
     """Centered, scaled product statistic T = (lambda_max - mu_n) / stat_denom.
+
+    ``lambda_max`` is one value, or an array of them giving T elementwise.
 
     T converges in law to Tracy-Widom with parameter sc.beta0 as n grows
     with p/n, q/n fixed.

@@ -298,3 +298,61 @@ def test_banded_nonfinite_entry_gives_nan(bad):
             bands = [rng.normal(size=30 - k) for k in range(kd + 1)]
             bands[band][7] = bad
             assert np.isnan(banded_largest_eig(SymmetricBanded(tuple(bands))))
+
+
+def _stack(matrices):
+    """One SymmetricBanded stacking the given matrices' bands along a leading axis."""
+    return SymmetricBanded(tuple(np.array(bands) for bands in zip(*(S.bands for S in matrices))))
+
+
+def test_stacked_banded_solve_equals_each_matrix_alone(lapack_calls):
+    # sampled products, one with a spike just past the first block (the block
+    # doubles once), one with an increasing diagonal (doubles, then bisects) and
+    # one with a nan entry; every row is solved as it would be alone
+    n, rel_tol = 500, 1e-10
+    k = _first_block(n)
+    rng = np.random.default_rng(63)
+    matrices = []
+    for r in range(6):
+        B_p = sample_bidiagonal(EnsembleParams(n=n, kappa=600, beta=0.7), split_stream(64, 2 * r))
+        B_q = sample_bidiagonal(EnsembleParams(n=n, kappa=900, beta=0.7), split_stream(64, 2 * r + 1))
+        matrices.append(product_similarity(B_q, laguerre_matrix(B_p)))
+    spike = rng.normal(size=n)
+    spike[k + 5] = 1e4
+    matrices[1] = SymmetricBanded((spike, rng.normal(size=n - 1), rng.normal(size=n - 2)))
+    matrices[3] = SymmetricBanded((np.arange(float(n)) * 1e3, rng.normal(size=n - 1), rng.normal(size=n - 2)))
+    poisoned = matrices[4].bands[1].copy()
+    poisoned[17] = np.nan
+    matrices[4] = SymmetricBanded((matrices[4].bands[0], poisoned, matrices[4].bands[2]))
+    cfg = EigConfig(rel_tol=rel_tol)
+    values = banded_largest_eig(_stack(matrices), cfg)
+    assert values.shape == (6,)
+    # one leading block per row, none for the nan row; row 1's doubles once,
+    # row 3's until it passes n = 500 (80, 160, 320), then row 3 bisects
+    assert lapack_calls["dsbevx"] == [k, k, 2 * k, k, k, 2 * k, 4 * k, k]
+    assert np.isnan(values[4]) and np.isfinite(np.delete(values, 4)).all()
+    for r, S in enumerate(matrices):
+        alone = banded_largest_eig(S, cfg)
+        assert isinstance(alone, float)
+        assert np.array_equal(values[r], alone, equal_nan=True)
+        if r != 4:
+            A = S.dense()
+            assert abs(alone - np.linalg.eigvalsh(A)[-1]) <= allowed_error(A, rel_tol / 2)
+
+
+def test_stacked_tridiagonal_solve_equals_each_matrix_alone():
+    from lagprod import airy
+    from lagprod.airy import AiryDiscretization, airy_tridiagonal, cell_noise
+
+    disc = AiryDiscretization(beta=2.0, h=0.1, L=8.0)
+    streams = [split_stream(65, r) for r in range(5)]
+    noise = cell_noise(disc, streams)
+    noise[2, 40] = np.inf
+    stacked = airy_tridiagonal(disc.beta, disc.h, disc.N, noise)
+    start = airy._ground_state(disc.h, disc.N)
+    cfg = EigConfig(rel_tol=1e-10)
+    values = tridiag_extreme_eig(stacked, cfg, start)
+    assert np.isnan(values[2]) and np.isfinite(np.delete(values, 2)).all()
+    for r in range(5):
+        alone = tridiag_extreme_eig(airy_tridiagonal(disc.beta, disc.h, disc.N, noise[r]), cfg, start)
+        assert np.array_equal(values[r], alone, equal_nan=True)

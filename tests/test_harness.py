@@ -93,14 +93,50 @@ def test_worker_count_independence(tmp_path, case):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+# each command, its flags, and the doubles one replicate stacks: 2n for a chi
+# factor's draw, N * mc micro-normals for the Airy tape (N = 80, mc = 20 here)
+_BLOCK_CASES = {
+    "sample-product": (["--n", "6", "--p", "7", "--q", "9", "--beta", "0.5"], 12),
+    "sample-single": (["--n", "6", "--p", "8", "--beta", "2"], 12),
+    "sample-tw": (["--beta", "2", "--mesh", "0.1", "--cutoff", "8"], 80 * 20),
+    "diagnose-potential": (["--n", "6", "--p", "8", "--beta", "2"], 12),
+}
+
+
+@pytest.mark.parametrize("command", list(_BLOCK_CASES))
+def test_csv_bytes_do_not_depend_on_block_grouping(tmp_path, monkeypatch, command):
+    # one replicate per block solves every matrix alone; blocks of 3 and the
+    # default cap stack neighbours, so a row that read any other row of its
+    # block would change these bytes.  11 replicates: blocks of 3 leave a
+    # short one at either worker count, and 3 workers take chunks of 3, 4, 4.
+    flags, width = _BLOCK_CASES[command]
+    default = harness.STACK_DOUBLES
+    blobs = {}
+    try:
+        for rows in (1, 3, None):
+            monkeypatch.setattr(harness, "STACK_DOUBLES", default if rows is None else rows * width)
+            harness._drop_pool()  # helpers forked from here on see this cap
+            for w in (1, 3):
+                out = tmp_path / f"{rows}-{w}"
+                res = CliRunner().invoke(cli_main, [command, *flags, "--reps", "11", "--seed", "8",
+                                                    "--workers", str(w), "--out", str(out)])
+                assert res.exit_code == 0, res.output
+                (csv,) = out.glob("*.csv")
+                blobs[rows, w] = csv.read_bytes()
+    finally:
+        harness._drop_pool()
+    assert len(set(blobs.values())) == 1, [key for key, blob in blobs.items() if blob != blobs[1, 1]]
+
+
 def test_sweep_looks_up_replicates_at_call_time(tmp_path, monkeypatch):
     # the benchmark's traced runs count replicates by patching these module
-    # attributes; a sweep bound to them at import time would never call the patch
+    # attributes; a sweep bound to them at import time would never call the patch.
+    # Each call covers a chunk (config, start, stop) or a stack of matrices.
     calls = dict.fromkeys(("_product_replicate", "_tw_replicate", "banded_largest_eig"), 0)
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name] += len(args[0].bands[0]) if name == "banded_largest_eig" else args[2] - args[1]
             return real(*args, **kwargs)
         return wrapper
 
@@ -308,14 +344,17 @@ def test_potential_rerun_into_the_same_directory_leaves_no_stale_tail(tmp_path):
 
 
 def test_failed_replicates_recorded_not_filled(tmp_path, monkeypatch):
-    calls = {"count": 0}
+    seen = {"rows": 0}
     real = harness.banded_largest_eig
 
     def flaky(S, cfg=None):
-        calls["count"] += 1
-        if calls["count"] % 3 == 0:
-            return math.nan
-        return real(S, cfg)
+        # every third replicate's row, counted across the stacks the sweep solves
+        values = real(S, cfg)
+        for j in range(len(values)):
+            seen["rows"] += 1
+            if seen["rows"] % 3 == 0:
+                values[j] = math.nan
+        return values
 
     monkeypatch.setattr(harness, "banded_largest_eig", flaky)
     config = ExperimentConfig(mode="product", n=4, p=4, q=4, beta=1.0, reps=9, seed=5, out=tmp_path)
@@ -323,6 +362,7 @@ def test_failed_replicates_recorded_not_filled(tmp_path, monkeypatch):
     assert report["failures"] == 3
     text = (tmp_path / "product-samples.csv").read_text()
     assert text.count(",nan") == 3
+    assert [line for line in text.splitlines() if line.endswith(",nan")] == ["2,nan", "5,nan", "8,nan"]
     # the report's moments are those of the finite rows the CSV reads back as
     reread = read_batch_csv(tmp_path / "product-samples.csv")
     assert reread.params["failures"] == 3
@@ -335,10 +375,12 @@ def test_single_sweep_records_nonfinite_matrices_as_failures(tmp_path, monkeypat
     real = harness.laguerre_matrix
 
     def poisoned(factor):
+        # every third replicate's row, counted across the stacks the sweep forms
         X = real(factor)
-        calls["count"] += 1
-        if calls["count"] % 3 == 0:
-            X.bands[0][1] = math.nan
+        for row in X.bands[0]:
+            calls["count"] += 1
+            if calls["count"] % 3 == 0:
+                row[1] = math.nan
         return X
 
     monkeypatch.setattr(harness, "laguerre_matrix", poisoned)
@@ -349,7 +391,7 @@ def test_single_sweep_records_nonfinite_matrices_as_failures(tmp_path, monkeypat
 
 
 def test_all_failed_replicates_raise_config_error(tmp_path, monkeypatch):
-    monkeypatch.setattr(harness, "banded_largest_eig", lambda S, cfg=None: math.nan)
+    monkeypatch.setattr(harness, "banded_largest_eig", lambda S, cfg=None: np.full(len(S.bands[0]), math.nan))
     config = ExperimentConfig(mode="product", n=4, p=4, q=4, beta=1.0, reps=3, seed=5, out=tmp_path)
     with pytest.raises(ConfigError, match="every replicate is missing"):
         run_experiment(config)
@@ -403,31 +445,34 @@ def test_worker_count_change_replaces_pool(tmp_path):
     assert all(proc.is_alive() for proc, _ in pools[2])
 
 
-def _pid(r):
-    return os.getpid()
+# chunk functions fn(start, stop) for _pmap; np.arange is the chunk of replicate indices
+
+
+def _pid(start, stop):
+    return [os.getpid()] * (stop - start)
 
 
 def test_caller_runs_first_chunk_and_one_helper_the_rest():
-    rows = harness._pmap(_pid, 8, 2)
+    rows = harness._pmap(_pid, 8, 2).tolist()
     assert rows[:4] == [os.getpid()] * 4
     assert rows[4] != os.getpid() and rows[4:] == [rows[4]] * 4
-    assert harness._pmap(_pid, 8, 2) == rows
+    assert harness._pmap(_pid, 8, 2).tolist() == rows
 
 
-def _fails_at(bad, r):
-    if r == bad:
-        raise ValueError(f"replicate {r}")
-    return r
+def _fails_at(bad, start, stop):
+    if start <= bad < stop:
+        raise ValueError(f"replicate {bad}")
+    return np.arange(start, stop)
 
 
 def _assert_failure_drops_helpers(bad):
-    assert harness._pmap(abs, 8, 2) == list(range(8))
+    assert harness._pmap(np.arange, 8, 2).tolist() == list(range(8))
     _, helpers = harness._pool
     with pytest.raises(ValueError, match=f"replicate {bad}"):
         harness._pmap(partial(_fails_at, bad), 8, 2)
     assert harness._pool is None
     assert not any(proc.is_alive() for proc, _ in helpers)
-    assert harness._pmap(abs, 8, 2) == list(range(8))
+    assert harness._pmap(np.arange, 8, 2).tolist() == list(range(8))
 
 
 def test_failed_parallel_sweep_terminates_pool():
@@ -440,14 +485,15 @@ def test_failed_helper_chunk_terminates_pool():
 
 _DIES_AT_FIVE = """
 import os
+import numpy as np
 from lagprod import harness
 
-def dies_at_five(r):
-    if r == 5:
+def dies_at_five(start, stop):
+    if start <= 5 < stop:
         os._exit(3)
-    return r
+    return np.arange(start, stop)
 
-assert harness._pmap(abs, 8, 2) == list(range(8))
+assert harness._pmap(np.arange, 8, 2).tolist() == list(range(8))
 _, helpers = harness._pool
 try:
     harness._pmap(dies_at_five, 8, 2)
@@ -455,7 +501,7 @@ except RuntimeError as exc:
     print(exc)
 assert harness._pool is None
 assert not any(proc.is_alive() for proc, _ in helpers)
-assert harness._pmap(abs, 8, 2) == list(range(8))
+assert harness._pmap(np.arange, 8, 2).tolist() == list(range(8))
 """
 
 
@@ -469,9 +515,10 @@ def test_dead_helper_fails_the_sweep_instead_of_hanging():
 
 _PRINTS_HELPERS = """
 import time
+import numpy as np
 from lagprod import harness
 
-assert harness._pmap(abs, 8, 3) == list(range(8))
+assert harness._pmap(np.arange, 8, 3).tolist() == list(range(8))
 print(*(proc.pid for proc, _ in harness._pool[1]), flush=True)
 time.sleep(60)
 """
@@ -562,9 +609,22 @@ def _span_targets() -> dict:
     raise AssertionError("benchmark/runner.py defines no SPAN_TARGETS")
 
 
+# the replicates one call to a span target covers: a chunk's range, a stack's
+# rows (one per matrix or stream); every other target covers one per call
+_COVERED = {
+    "rep": lambda config, start, stop: stop - start,
+    "airy.cell_noise": lambda disc, streams: len(streams),
+    "airy.airy_tridiagonal": lambda beta, h, N, noise: len(noise),
+    "eig.tridiag_extreme_eig": lambda T, cfg, start: len(T.bands[0]),
+    "eig.banded_largest_eig": lambda S, cfg=None: len(S.bands[0]),
+    "ensemble.laguerre_matrix": lambda factor: len(factor.diag),
+    "product.product_similarity": lambda B_q, X_p: len(B_q.diag),
+}
+
+
 def test_benchmark_span_targets_resolve_and_see_every_replicate(tmp_path, monkeypatch):
     # a traced benchmark run wraps each target where the sweep looks it up and
-    # fails on a missing one; count the calls one sweep per mode makes there
+    # fails on a missing one; count the replicates one sweep per mode covers there
     counts: dict = {}
     for name, targets in _span_targets().items():
         for module_name, attr in targets:
@@ -572,7 +632,8 @@ def test_benchmark_span_targets_resolve_and_see_every_replicate(tmp_path, monkey
             real = getattr(module, attr)
 
             def counted(*args, _name=name, _real=real, **kwargs):
-                counts[_name] = counts.get(_name, 0) + 1
+                covered = _COVERED.get(_name, lambda *a, **k: 1)(*args, **kwargs)
+                counts[_name] = counts.get(_name, 0) + covered
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(module, attr, counted)
