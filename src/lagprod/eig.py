@@ -4,12 +4,15 @@ The largest eigenvalue of a Laguerre matrix (bandwidth 1) or a product
 matrix (bandwidth 2) uses ``lambda_max(S) = inf{x : xI - S positive
 definite}``, tested by whether the banded Cholesky factorization (LAPACK
 dpbtrf) of xI - S succeeds.  The top eigenvector of either lives in its
-leading O(n^(1/3)) rows (the soft edge), so the solver first takes the top
-eigenvalue theta of the leading k x k block (LAPACK dsbevx) and certifies it
-with two factorizations at h = rel_tol * D / 2, with D the Gershgorin
-spectral diameter: the block of (theta - h)I - S must fail, and the full
-(theta + h)I - S must succeed.  If either test fails, k doubles; at k = n
-the solver bisects the Gershgorin interval of the full matrix instead.
+leading rows (the soft edge), a few grid scales m of its statistic, where
+row j sits at x = j / m.  So the solver first takes the top eigenvalue
+theta of the leading k x k block (LAPACK dsbevx), k = ceil(EDGE_ROWS * m)
+rows (see :func:`edge_block`; a bare matrix with no statistic takes the
+bound n^(1/3) on m), and certifies it with two factorizations at
+h = rel_tol * D / 2, with D the Gershgorin spectral diameter: the block of
+(theta - h)I - S must fail, and the full (theta + h)I - S must succeed.  If
+either test fails, k doubles; at k = n the solver bisects the Gershgorin
+interval of the full matrix instead.
 
 The smallest eigenvalue of the stochastic Airy matrix, whose ground state
 spans most of the mesh, comes from LAPACK dstebz (Sturm-count bisection),
@@ -36,8 +39,7 @@ from scipy.linalg.lapack import dpbtrf, dpttrf, dsbevx, dstebz
 
 from .ensemble import SymmetricBanded
 
-# leading block of the edge solve: ceil(EDGE_ROWS * n^(1/3)) rows, at least
-# EDGE_ROWS grid scales (m < n^(1/3) for either statistic, single or product)
+# grid scales of the statistic in the first leading block of the edge solve
 EDGE_ROWS = 10
 
 EPS = np.finfo(float).eps
@@ -76,6 +78,21 @@ def gershgorin_bounds(diag: np.ndarray, *offdiags: np.ndarray) -> tuple:
         r[..., :-k] += a
         r[..., k:] += a
     return (diag - r).min(axis=-1), (diag + r).max(axis=-1)
+
+
+def edge_block(n: int, scale: float | None = None) -> int:
+    """Rows of the first leading block the edge solve of an n x n matrix takes.
+
+    That is ceil(EDGE_ROWS * scale): EDGE_ROWS grid scales of a statistic
+    read on the grid x = j / scale, as m_n for the product and m for a
+    single matrix.  With no statistic (``scale`` None) it is
+    ceil(EDGE_ROWS * n^(1/3)), as n^(1/3) bounds the grid scale of either.
+    """
+    if scale is None:
+        scale = n ** (1 / 3)
+    elif not scale > 0:
+        raise ValueError(f"scale must be positive, got {scale}")
+    return math.ceil(EDGE_ROWS * scale)
 
 
 def _stacked(S: SymmetricBanded) -> tuple[list[np.ndarray], bool]:
@@ -149,15 +166,18 @@ def _ground_window(
     return lo - margin, min(rho, sigma) + margin
 
 
-def banded_largest_eig(S: SymmetricBanded, cfg: EigConfig | None = None):
+def banded_largest_eig(S: SymmetricBanded, cfg: EigConfig | None = None, scale: float | None = None):
     """Largest eigenvalue of a symmetric band matrix of any bandwidth kd.
 
     S is one matrix, giving a float, or a stack of B matrices (band k of
     shape (B, n-k)), giving an array of shape (B,), each matrix solved on
-    its own by the LAPACK calls below in one band workspace.  With [lo, hi]
-    the Gershgorin interval of a matrix S and h = rel_tol * (hi - lo) / 2,
-    the edge solve takes the top eigenvalue theta of the leading k x k block
-    S_k, starting at k = ceil(EDGE_ROWS * n^(1/3)), and returns it once
+    its own by the LAPACK calls below in one band workspace.  ``scale`` is
+    the grid scale of the statistic S carries, in rows per unit of x (m_n
+    for a product, m for a single matrix); None, for a bare matrix, takes
+    its bound n^(1/3).  With [lo, hi] the Gershgorin interval of a matrix S
+    and h = rel_tol * (hi - lo) / 2, the edge solve takes the top eigenvalue
+    theta of the leading k x k block S_k, starting at
+    k = edge_block(n, scale) = ceil(EDGE_ROWS * scale), and returns it once
     (theta - h)I - S_k fails to factor (so lambda_max(S) >= lambda_max(S_k) >=
     theta - h, by interlacing) and (theta + h)I - S factors (so
     lambda_max(S) < theta + h); otherwise k doubles.  Once k >= n, or when h
@@ -177,6 +197,7 @@ def banded_largest_eig(S: SymmetricBanded, cfg: EigConfig | None = None):
     # sub-diagonals; its first k columns hold the leading k x k block, which
     # Fortran order keeps contiguous, so LAPACK gets it without a transposing copy
     n = S.n
+    k = edge_block(n, scale)
     ab = np.zeros((len(bands), n), order="F")
     values = []
     for i, (lo_i, hi_i) in enumerate(zip(lo.tolist(), hi.tolist())):
@@ -185,13 +206,14 @@ def banded_largest_eig(S: SymmetricBanded, cfg: EigConfig | None = None):
             continue
         for off, band in enumerate(negated, start=1):
             ab[off, : band.shape[1]] = band[i]
-        values.append(_edge_solve(ab, bands[0][i], lo_i, hi_i, cfg.rel_tol))
+        values.append(_edge_solve(ab, bands[0][i], lo_i, hi_i, cfg.rel_tol, k))
     return values[0] if single else np.array(values)
 
 
-def _edge_solve(ab: np.ndarray, diag: np.ndarray, lo: float, hi: float, rel_tol: float) -> float:
+def _edge_solve(ab: np.ndarray, diag: np.ndarray, lo: float, hi: float, rel_tol: float, k: int) -> float:
     """The certified solve of :func:`banded_largest_eig` for one matrix with
-    Gershgorin interval [lo, hi], whose off-diagonals ``ab`` already holds."""
+    Gershgorin interval [lo, hi], whose off-diagonals ``ab`` already holds,
+    from a first block of k rows."""
     n = len(diag)
     h = 0.5 * rel_tol * (hi - lo)
 
@@ -199,7 +221,6 @@ def _edge_solve(ab: np.ndarray, diag: np.ndarray, lo: float, hi: float, rel_tol:
         np.subtract(x, diag[:k], out=ab[0, :k])
         return dpbtrf(ab[:, :k], lower=1)[1] == 0
 
-    k = math.ceil(EDGE_ROWS * n ** (1 / 3))
     while k < n and h > n * EPS * max(abs(lo), abs(hi)):
         # at x = 0 the block is -S_k, whose smallest eigenvalue is -lambda_max(S_k)
         np.negative(diag[:k], out=ab[0, :k])

@@ -240,12 +240,13 @@ def _factors(config: ExperimentConfig, kappa: int, streams) -> BidiagonalFactor:
 
 
 def _product_replicate(config: ExperimentConfig, start: int, stop: int) -> np.ndarray:
+    sc = config.constants
     rows = []
     for block in _blocks(start, stop, 2 * config.n):
         B_p = _factors(config, config.p, [2 * r for r in block])
         B_q = _factors(config, config.q, [2 * r + 1 for r in block])
         S = product_similarity(B_q, laguerre_matrix(B_p))
-        rows.append(product_statistic(banded_largest_eig(S, config.eig_config()), config.constants))
+        rows.append(product_statistic(banded_largest_eig(S, config.eig_config(), sc.m_n), sc))
     return np.concatenate(rows)
 
 
@@ -254,7 +255,7 @@ def _single_replicate(config: ExperimentConfig, start: int, stop: int) -> np.nda
     rows = []
     for block in _blocks(start, stop, 2 * config.n):
         X = laguerre_matrix(_factors(config, config.p, block))
-        rows.append((banded_largest_eig(X, config.eig_config()) - s.mu) / s.sigma)
+        rows.append((banded_largest_eig(X, config.eig_config(), s.m) - s.mu) / s.sigma)
     return np.concatenate(rows)
 
 

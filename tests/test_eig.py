@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from lagprod import eig
 from lagprod.eig import EigConfig, banded_largest_eig, gershgorin_bounds, tridiag_extreme_eig
 from lagprod.ensemble import EnsembleParams, SymmetricBanded, laguerre_matrix, sample_bidiagonal
+from lagprod.harness import ExperimentConfig, sweep
 from lagprod.product import product_similarity
 from lagprod.variates import split_stream
 from oracles import allowed_error, dense_product_eigs, dense_tridiagonal
@@ -79,6 +82,10 @@ def test_eig_config_validation():
         EigConfig(rel_tol=0.5)
     with pytest.raises(ValueError):
         EigConfig(rel_tol=0.0)
+    # a first block of no rows would never grow
+    for scale in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="scale must be positive"):
+            banded_largest_eig(SymmetricBanded((np.ones(64), np.zeros(63))), scale=scale)
 
 
 def test_banded_identity_and_diagonal():
@@ -159,8 +166,40 @@ def lapack_calls(monkeypatch):
     return calls
 
 
-def _first_block(n):
-    return int(np.ceil(eig.EDGE_ROWS * n ** (1 / 3)))
+_PAPER_POINTS = {
+    "iid-n256": dict(mode="product", n=256, p=256, q=256, beta=1.0),
+    "pq-n1024": dict(mode="product", n=1024, p=2048, q=4096, beta=0.5),
+    "single-n400": dict(mode="single", n=400, p=400, beta=2.0),
+}
+
+
+@pytest.mark.parametrize("point,rows", [("iid-n256", 40), ("pq-n1024", 74), ("single-n400", 47)])
+def test_sweep_starts_each_edge_solve_at_ten_grid_scales(point, rows, lapack_calls):
+    # every matrix's first block spans EDGE_ROWS grid scales of its statistic,
+    # ceil(10 m_n) rows for a product and ceil(10 m) for a single matrix, fewer
+    # than the ceil(10 n^(1/3)) a bare matrix starts from
+    config = ExperimentConfig(reps=6, seed=2301, **_PAPER_POINTS[point])
+    scale = config.constants.m_n if config.mode == "product" else config.constants.m
+    assert math.ceil(eig.EDGE_ROWS * scale) == rows < eig.edge_block(config.n)
+    sweep(config)
+    blocks = lapack_calls["dsbevx"]
+    # one first block per matrix; any other block is that one doubled
+    assert blocks.count(rows) == config.reps
+    assert set(blocks) <= {rows * 2**j for j in range(8)}
+
+
+# bounds on the share fixed before the first run, from a pilot's rates at these
+# points (11/4000, 14/1000 and 1/4000): at least twice each of them
+@pytest.mark.parametrize("point,reps,bound", [("iid-n256", 2000, 0.01), ("pq-n1024", 500, 0.03),
+                                              ("single-n400", 2000, 0.01)])
+def test_first_edge_block_rarely_grows(point, reps, bound, lapack_calls):
+    config = ExperimentConfig(reps=reps, seed=2302, **_PAPER_POINTS[point])
+    sweep(config)
+    blocks = lapack_calls["dsbevx"]
+    first = min(blocks)
+    assert blocks.count(first) == reps and 2 * first < config.n
+    # a matrix whose first block fails its test takes the doubled block exactly once
+    assert blocks.count(2 * first) <= bound * reps
 
 
 @pytest.mark.parametrize("rel_tol", [1e-10, 1e-6])
@@ -177,7 +216,7 @@ def test_edge_solve_on_sampled_products(n, p, q, beta, reps, rel_tol, lapack_cal
             log.clear()
         lam = banded_largest_eig(S, EigConfig(rel_tol=rel_tol))
         assert abs(lam - np.linalg.eigvalsh(A)[-1]) <= allowed_error(A, rel_tol / 2)
-        assert lapack_calls["dsbevx"][0] == _first_block(n)
+        assert lapack_calls["dsbevx"][0] == eig.edge_block(n)
         assert len(lapack_calls["dpbtrf"]) <= 2 * len(lapack_calls["dsbevx"])
 
 
@@ -190,7 +229,7 @@ def test_edge_solve_doubles_block_up_to_n(lapack_calls):
     A = S.dense()
     lam = banded_largest_eig(S, EigConfig(rel_tol=rel_tol))
     assert abs(lam - np.linalg.eigvalsh(A)[-1]) <= allowed_error(A, rel_tol / 2)
-    k = _first_block(n)  # 59: blocks of 59 and 118 rows, then 236 >= n
+    k = eig.edge_block(n)  # 59: blocks of 59 and 118 rows, then 236 >= n
     assert lapack_calls["dsbevx"] == [k, 2 * k]
     assert len(lapack_calls["dpbtrf"]) >= np.ceil(-np.log2(rel_tol))
 
@@ -198,7 +237,7 @@ def test_edge_solve_doubles_block_up_to_n(lapack_calls):
 def test_edge_solve_doubles_block_once(lapack_calls):
     # a diagonal spike just past the first block: one doubling certifies it
     n, rel_tol = 500, 1e-10
-    k = _first_block(n)
+    k = eig.edge_block(n)
     rng = np.random.default_rng(62)
     diag = rng.normal(size=n)
     diag[k + 5] = 20.0
@@ -263,8 +302,8 @@ def test_edge_solve_on_laguerre_matrices(n, p, beta, reps, rel_tol, lapack_calls
             log.clear()
         lam = banded_largest_eig(X, EigConfig(rel_tol=rel_tol))
         assert abs(lam - np.linalg.eigvalsh(A)[-1]) <= allowed_error(A, rel_tol / 2)
-        if _first_block(n) < n:  # otherwise the solver bisects the whole matrix
-            assert lapack_calls["dsbevx"][0] == _first_block(n)
+        if eig.edge_block(n) < n:  # otherwise the solver bisects the whole matrix
+            assert lapack_calls["dsbevx"][0] == eig.edge_block(n)
             assert len(lapack_calls["dpbtrf"]) <= 2 * len(lapack_calls["dsbevx"])
 
 
@@ -277,7 +316,7 @@ def test_edge_solve_at_bandwidth_one_grows_the_block(lapack_calls):
     A = dense_tridiagonal(T)
     lam = banded_largest_eig(T, EigConfig(rel_tol=rel_tol))
     assert abs(lam - np.linalg.eigvalsh(A)[-1]) <= allowed_error(A, rel_tol / 2)
-    k = _first_block(n)
+    k = eig.edge_block(n)
     assert lapack_calls["dsbevx"] == [k, 2 * k]
     assert len(lapack_calls["dpbtrf"]) >= np.ceil(-np.log2(rel_tol))
 
@@ -310,7 +349,7 @@ def test_stacked_banded_solve_equals_each_matrix_alone(lapack_calls):
     # doubles once), one with an increasing diagonal (doubles, then bisects) and
     # one with a nan entry; every row is solved as it would be alone
     n, rel_tol = 500, 1e-10
-    k = _first_block(n)
+    k = eig.edge_block(n)
     rng = np.random.default_rng(63)
     matrices = []
     for r in range(6):

@@ -64,8 +64,9 @@ def test_composition_consistency_single_replicate(tmp_path):
     B_p = sample_bidiagonal(EnsembleParams(n=n, kappa=n, beta=2.0), stream_p)
     B_q = sample_bidiagonal(EnsembleParams(n=n, kappa=n, beta=2.0), stream_q)
     S = product_similarity(B_q, laguerre_matrix(B_p))
-    lam = banded_largest_eig(S, EigConfig())
-    expected = product_statistic(lam, coupled_scaling(n, n, n, 2.0))
+    sc = coupled_scaling(n, n, n, 2.0)
+    lam = banded_largest_eig(S, EigConfig(), sc.m_n)
+    expected = product_statistic(lam, sc)
     assert read_batch_csv(report["artifacts"]["samples_csv"]["path"]).values[0] == expected
 
 
@@ -347,9 +348,9 @@ def test_failed_replicates_recorded_not_filled(tmp_path, monkeypatch):
     seen = {"rows": 0}
     real = harness.banded_largest_eig
 
-    def flaky(S, cfg=None):
+    def flaky(S, cfg=None, scale=None):
         # every third replicate's row, counted across the stacks the sweep solves
-        values = real(S, cfg)
+        values = real(S, cfg, scale)
         for j in range(len(values)):
             seen["rows"] += 1
             if seen["rows"] % 3 == 0:
@@ -391,7 +392,8 @@ def test_single_sweep_records_nonfinite_matrices_as_failures(tmp_path, monkeypat
 
 
 def test_all_failed_replicates_raise_config_error(tmp_path, monkeypatch):
-    monkeypatch.setattr(harness, "banded_largest_eig", lambda S, cfg=None: np.full(len(S.bands[0]), math.nan))
+    monkeypatch.setattr(harness, "banded_largest_eig",
+                        lambda S, cfg=None, scale=None: np.full(len(S.bands[0]), math.nan))
     config = ExperimentConfig(mode="product", n=4, p=4, q=4, beta=1.0, reps=3, seed=5, out=tmp_path)
     with pytest.raises(ConfigError, match="every replicate is missing"):
         run_experiment(config)
@@ -616,7 +618,7 @@ _COVERED = {
     "airy.cell_noise": lambda disc, streams: len(streams),
     "airy.airy_tridiagonal": lambda beta, h, N, noise: len(noise),
     "eig.tridiag_extreme_eig": lambda T, cfg, start: len(T.bands[0]),
-    "eig.banded_largest_eig": lambda S, cfg=None: len(S.bands[0]),
+    "eig.banded_largest_eig": lambda S, cfg=None, scale=None: len(S.bands[0]),
     "ensemble.laguerre_matrix": lambda factor: len(factor.diag),
     "product.product_similarity": lambda B_q, X_p: len(B_q.diag),
 }
@@ -660,14 +662,27 @@ def test_single_mode_statistic(tmp_path):
     s = single_scaling(8, 10)
     stream = split_stream(21, 2)
     B = sample_bidiagonal(EnsembleParams(n=8, kappa=10, beta=2.0), stream)
-    lam = banded_largest_eig(laguerre_matrix(B))
+    lam = banded_largest_eig(laguerre_matrix(B), scale=s.m)
     assert read_batch_csv(report["artifacts"]["samples_csv"]["path"]).values[2] == (lam - s.mu) / s.sigma
 
 
 def test_product_golden_values():
-    # recorded before single mode moved onto the edge solve; the product path is unchanged
-    rows = sweep(ExperimentConfig(mode="product", n=64, p=96, q=160, beta=0.5, reps=3, seed=1206))
-    assert rows.tolist() == [-1.499146695847465, -2.479613181543938, -2.2630507302764125]
+    # recorded when the edge solve started from ceil(10 n^(1/3)) rows; it now starts
+    # from ceil(10 m_n), so old and new values are each a rel_tol * D / 2 certificate:
+    # rel_tol * D apart at most, and each within rel_tol * D / 2 of the dense eigenvalue
+    n, p, q, beta, seed = 64, 96, 160, 0.5, 1206
+    config = ExperimentConfig(mode="product", n=n, p=p, q=q, beta=beta, reps=3, seed=seed)
+    golden = [-1.499146695847465, -2.479613181543938, -2.2630507302764125]
+    rel_tol, sc = config.eig_config().rel_tol, config.constants
+    for r, (value, old) in enumerate(zip(sweep(config), golden)):
+        B_p = sample_bidiagonal(EnsembleParams(n=n, kappa=p, beta=beta), split_stream(seed, 2 * r))
+        B_q = sample_bidiagonal(EnsembleParams(n=n, kappa=q, beta=beta), split_stream(seed, 2 * r + 1))
+        S = product_similarity(B_q, laguerre_matrix(B_p))
+        lo, hi = gershgorin_bounds(*S.bands)
+        rounding = 4 * n * np.finfo(float).eps * S.one_norm()
+        assert abs(value - old) <= (rel_tol * (hi - lo) + rounding) / sc.stat_denom
+        dense = product_statistic(np.linalg.eigvalsh(S.dense())[-1], sc)
+        assert abs(value - dense) <= (rel_tol * (hi - lo) / 2 + rounding) / sc.stat_denom
 
 
 def test_single_golden_values_within_solver_bound():
