@@ -14,10 +14,12 @@ per sampling command: ``product``, ``single`` and ``tw-reference``.  The
 potential path of ``diagnose-potential`` is a second statistic of ``single``
 draws: :func:`mean_potential_path` reads it off the very factor each
 ``single`` replicate solves.  One table, :data:`SETTINGS` with :data:`SHARED`
-and :data:`MODES`, says which settings each mode takes; a config refuses the
-others.  A config is frozen: it is checked once, when it is built, and
-resolves its mode's constants (product or single scaling, or the Airy
-discretization) there; the sweep and the report of a run reuse and show them.
+and :data:`MODES`, says which settings each mode takes (a config refuses the
+others) and gives the flags of every command, each of which checks its
+settings by building a config.  A config is frozen: it is checked once, when
+it is built, and resolves its mode's constants (product or single scaling,
+or the Airy discretization) there; the sweep and the report of a run reuse
+and show them.
 
 Replicate r of a run with master seed s draws only from the streams
 ``split_stream(s, r)`` (product mode: ``(s, 2r)`` and ``(s, 2r+1)``, one per
@@ -83,11 +85,11 @@ from .ensemble import (BidiagonalFactor, EnsembleParams, laguerre_matrix, potent
 from .product import product_similarity
 from .scaling import (ScalingConstants, closed_form_Cn, closed_form_cn, coupled_scaling,
                       product_statistic, single_scaling)
-from .stats import SampleBatch, ks_two_sample, moments
+from .stats import ks_two_sample, moments
 from .variates import TAPE, split_stream
 
 # The one table of run settings, each with its type and help: config files cast
-# by it, and each sampling command takes one flag per setting its mode takes.
+# by it, and every command's flag that names a setting is built from its entry.
 SETTINGS = {
     "beta": (float, "Ensemble beta > 0 (for sample-tw, the Tracy-Widom parameter)."),
     "n": (int, "Matrix size n."),
@@ -388,8 +390,8 @@ def write_batch_csv(path: Path, label: str, params: dict, rows: np.ndarray) -> s
     return hashlib.sha256(data).hexdigest()
 
 
-def read_batch_csv(path: Path | str) -> SampleBatch:
-    """Load a sample CSV back into a batch; NaN rows are dropped and counted."""
+def read_batch_csv(path: Path | str) -> dict:
+    """Load a sample CSV as a ``{"label", "params", "values"}`` dict; NaN rows are dropped and counted."""
     path = Path(path)
     label = None
     params: dict = {}
@@ -419,7 +421,7 @@ def read_batch_csv(path: Path | str) -> SampleBatch:
         raise ConfigError(f"{path}: not a sample CSV (missing label or rows)")
     values = _finite_rows(np.array(rows), path)
     params["failures"] = len(rows) - values.size
-    return SampleBatch(label=label, params=params, values=values)
+    return {"label": label, "params": params, "values": values}
 
 
 def _finite_rows(rows: np.ndarray, source: Path) -> np.ndarray:
@@ -520,10 +522,10 @@ def compare_batches(path_a: Path | str, path_b: Path | str, out: Path | str | No
     """KS-compare two persisted batches; returns the JSON payload (written when ``out`` is given)."""
     a = read_batch_csv(path_a)
     b = read_batch_csv(path_b)
-    payload = ks_two_sample(a.values, b.values) | {
+    payload = ks_two_sample(a["values"], b["values"]) | {
         "versions": dict(VERSIONS),
-        "batch_a": {"path": str(path_a), "label": a.label, "params": a.params},
-        "batch_b": {"path": str(path_b), "label": b.label, "params": b.params},
+        "batch_a": {"path": str(path_a), "label": a["label"], "params": a["params"]},
+        "batch_b": {"path": str(path_b), "label": b["label"], "params": b["params"]},
     }
     if out is not None:
         out = Path(out)

@@ -1,32 +1,10 @@
-"""Empirical distribution machinery: sample batches, two-sample KS, moment summaries."""
+"""Empirical distribution machinery on sample arrays: two-sample KS and moment summaries."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class SampleBatch:
-    """A labeled batch of Monte Carlo samples, ``values`` in replicate order.
-
-    ``params`` carries the generating configuration and round-trips through
-    the CSV persistence layer bit-exactly.
-    """
-
-    label: str
-    params: dict
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.size < 1:
-            raise ValueError("a sample batch needs at least one value")
-        if np.any(np.isnan(values)):
-            raise ValueError("sample values must not contain NaN")
-        object.__setattr__(self, "values", values)
 
 
 def ks_two_sample(a: np.ndarray, b: np.ndarray) -> dict:

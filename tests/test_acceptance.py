@@ -137,7 +137,7 @@ def test_criterion_4_single_matrix_edge_law(tmp_path, tw2_default_batch):
         mode="single", n=400, p=400, beta=2.0, reps=1000, seed=202, out=tmp_path
     )
     run_experiment(config)
-    D = ks_two_sample(read_batch_csv(tmp_path / "single-samples.csv").values, tw2_default_batch)["D"]
+    D = ks_two_sample(read_batch_csv(tmp_path / "single-samples.csv")["values"], tw2_default_batch)["D"]
     _criterion(
         4,
         "single-matrix edge law: (n=p=400, beta=2, 1000 reps) vs 4000 TW_2 reference, KS D < 0.12",
@@ -157,7 +157,7 @@ def test_criterion_5_product_law_end_to_end(tmp_path):
     _, report = run_experiment(config)
     assert report["failures"] == 0
     assert report["timing"]["wall_seconds"] < 600  # throughput sanity on a single core
-    T = read_batch_csv(tmp_path / "product-samples.csv").values
+    T = read_batch_csv(tmp_path / "product-samples.csv")["values"]
     D2 = ks_two_sample(T, tw_batch(2.0, 5000, 505))["D"]
     D1 = ks_two_sample(T, tw_batch(1.0, 5000, 505))["D"]
     _criterion(

@@ -14,6 +14,7 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
+import click
 import pytest
 import scipy
 from click.testing import CliRunner
@@ -67,7 +68,7 @@ def test_composition_consistency_single_replicate(tmp_path):
     sc = coupled_scaling(n, n, n, 2.0)
     lam = banded_largest_eig(S, EigConfig(), sc.m_n)
     expected = product_statistic(lam, sc)
-    assert read_batch_csv(report["artifacts"]["samples_csv"]["path"]).values[0] == expected
+    assert read_batch_csv(report["artifacts"]["samples_csv"]["path"])["values"][0] == expected
 
 
 _MODE_KWARGS = {
@@ -159,12 +160,12 @@ def test_batch_csv_round_trip(tmp_path):
     path = tmp_path / "batch.csv"
     write_batch_csv(path, "product", params, rows)
     batch = read_batch_csv(path)
-    assert batch.label == "product"
+    assert batch["label"] == "product"
     for key, value in params.items():
-        assert batch.params[key] == value
-        assert type(batch.params[key]) is type(value)
-    assert batch.params["failures"] == 1
-    assert batch.values.tolist() == [1.0, math.pi, -1e-300]  # replicate order, NaN row dropped
+        assert batch["params"][key] == value
+        assert type(batch["params"][key]) is type(value)
+    assert batch["params"]["failures"] == 1
+    assert batch["values"].tolist() == [1.0, math.pi, -1e-300]  # replicate order, NaN row dropped
 
 
 def test_read_batch_csv_reports_bad_lines(tmp_path):
@@ -173,6 +174,19 @@ def test_read_batch_csv_reports_bad_lines(tmp_path):
     with pytest.raises(ConfigError) as excinfo:
         read_batch_csv(path)
     assert "bad.csv:3" in str(excinfo.value)
+
+    path.write_text("# label=x\nreplicate,value\n")
+    with pytest.raises(ConfigError, match="not a sample CSV"):
+        read_batch_csv(path)
+
+    path.write_text("# label=x\nreplicate,value\n0,nan\n1,nan\n")
+    with pytest.raises(ConfigError, match="every replicate is missing"):
+        read_batch_csv(path)
+    out = tmp_path / "cmp"
+    res = CliRunner().invoke(cli_main, ["compare", str(path), str(path), "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("config error:") and "every replicate is missing" in res.output
+    assert not out.exists()
 
 
 def test_compare_self_is_zero(tmp_path):
@@ -243,6 +257,25 @@ def test_sampling_command_flags_are_its_modes_settings(command, mode):
     assert options == {f"--{k}" for k in [*harness.MODES[mode], *harness.SHARED]} | {"--config"}
     # and the config has one field per setting of the table
     assert [f.name for f in dataclasses.fields(ExperimentConfig)] == ["mode", *harness.SETTINGS]
+
+
+@pytest.mark.parametrize("command,settings,own", [
+    ("sample-product", {"n", "p", "q", *harness.SHARED}, {"--config"}),
+    ("sample-single", {"n", "p", *harness.SHARED}, {"--config"}),
+    ("sample-tw", {"mesh", "cutoff", *harness.SHARED}, {"--config"}),
+    ("constants", {"n", "p", "q", "beta"}, set()),
+    ("diagnose-potential", {"n", "p", "beta", "reps", "seed", "out", "workers"}, set()),
+    ("compare", {"out"}, {"--assert"}),
+], ids=["sample-product", "sample-single", "sample-tw", "constants", "diagnose-potential", "compare"])
+def test_every_commands_flags_are_settings_table_entries(command, settings, own):
+    options = {param.opts[0]: param for param in cli_main.commands[command].params
+               if isinstance(param, click.Option)}
+    assert options.keys() == {f"--{name}" for name in settings} | own
+    for name in settings:
+        kind, help_text = harness.SETTINGS[name]
+        expected = click.Path(path_type=Path) if kind is Path else click.types.convert_type(kind)
+        assert options[f"--{name}"].type.to_info_dict() == expected.to_info_dict(), name
+        assert options[f"--{name}"].help == help_text, name
 
 
 @pytest.mark.parametrize("command,body", [
@@ -366,9 +399,9 @@ def test_failed_replicates_recorded_not_filled(tmp_path, monkeypatch):
     assert [line for line in text.splitlines() if line.endswith(",nan")] == ["2,nan", "5,nan", "8,nan"]
     # the report's moments are those of the finite rows the CSV reads back as
     reread = read_batch_csv(tmp_path / "product-samples.csv")
-    assert reread.params["failures"] == 3
-    assert reread.values.size == 6
-    assert report["moments"] == moments(reread.values)
+    assert reread["params"]["failures"] == 3
+    assert reread["values"].size == 6
+    assert report["moments"] == moments(reread["values"])
 
 
 def test_single_sweep_records_nonfinite_matrices_as_failures(tmp_path, monkeypatch):
@@ -573,7 +606,7 @@ def test_degenerate_draws_do_not_abort_sweep(tmp_path):
     config = ExperimentConfig(mode="product", n=8, p=8, q=8, beta=0.01, reps=200, seed=3, out=tmp_path)
     _, report = run_experiment(config)
     assert report["failures"] == 0
-    values = read_batch_csv(tmp_path / "product-samples.csv").values
+    values = read_batch_csv(tmp_path / "product-samples.csv")["values"]
     assert values.size == 200
     assert np.all(np.isfinite(values))
 
@@ -663,7 +696,7 @@ def test_single_mode_statistic(tmp_path):
     stream = split_stream(21, 2)
     B = sample_bidiagonal(EnsembleParams(n=8, kappa=10, beta=2.0), stream)
     lam = banded_largest_eig(laguerre_matrix(B), scale=s.m)
-    assert read_batch_csv(report["artifacts"]["samples_csv"]["path"]).values[2] == (lam - s.mu) / s.sigma
+    assert read_batch_csv(report["artifacts"]["samples_csv"]["path"])["values"][2] == (lam - s.mu) / s.sigma
 
 
 def test_product_golden_values():
@@ -772,6 +805,10 @@ def test_cli_constants_and_exit_codes(tmp_path):
     bad = runner.invoke(cli_main, ["constants", "--n", "8", "--p", "7", "--q", "9"])
     assert bad.exit_code == 2
 
+    missing = runner.invoke(cli_main, ["constants", "--n", "8", "--p", "8"])
+    assert missing.exit_code == 2
+    assert missing.output == "config error: product mode requires n, p, q\n"
+
     # a non-finite beta has no constants (and inf is not valid JSON)
     for beta in ("inf", "-inf", "nan"):
         bad = runner.invoke(cli_main, ["constants", "--n", "8", "--p", "8", "--q", "8", "--beta", beta])
@@ -825,8 +862,10 @@ def test_cli_diagnose_potential(tmp_path):
     assert report["versions"] == harness.VERSIONS
     assert report["csv_sha256"] == hashlib.sha256((tmp_path / "potential-path.csv").read_bytes()).hexdigest()
 
+    assert "[default: 2000]" in runner.invoke(cli_main, ["diagnose-potential", "--help"]).output
+
     # the same checks as the sampling commands: exit 2, nothing written
-    for args in (["--n", "10", "--p", "9"], ["--n", "10", "--p", "12", "--beta", "inf"],
+    for args in (["--n", "10"], ["--n", "10", "--p", "9"], ["--n", "10", "--p", "12", "--beta", "inf"],
                  ["--n", "10", "--p", "12", "--workers", "0"], ["--n", "10", "--p", "12", "--workers", "-3"],
                  ["--n", "1", "--p", "1"]):
         out = tmp_path / "bad"
@@ -834,3 +873,6 @@ def test_cli_diagnose_potential(tmp_path):
         assert bad.exit_code == 2, (args, bad.output)
         assert "config error:" in bad.output
         assert not out.exists()
+    # a missing setting is the config's error, not click's
+    missing = runner.invoke(cli_main, ["diagnose-potential", "--n", "10", "--out", str(out)])
+    assert missing.output == "config error: single mode requires n, p\n"

@@ -6,7 +6,7 @@ import scipy.special
 import scipy.stats
 
 from lagprod.harness import ExperimentConfig, sweep
-from lagprod.stats import SampleBatch, ks_two_sample, moments
+from lagprod.stats import ks_two_sample, moments
 from oracles import ecdf_eval
 
 
@@ -116,16 +116,6 @@ def test_moments_standard_errors():
     assert m["se_mean"] >= 0 and m["se_variance"] >= 0
     # the blocks are contiguous runs in the given order, so sorting changes the errors
     assert moments(np.sort(draws))["se_mean"] > 5 * m["se_mean"]
-
-
-def test_batch_validation():
-    with pytest.raises(ValueError):
-        SampleBatch(label="t", params={}, values=[])
-    with pytest.raises(ValueError):
-        SampleBatch(label="t", params={}, values=[1.0, float("nan")])
-    b = SampleBatch(label="t", params={}, values=[3, 1, 2])
-    assert b.values.dtype == float
-    assert b.values.tolist() == [3.0, 1.0, 2.0]  # replicate order is kept
 
 
 def test_ks_self_calibration_null_trials():
