@@ -30,9 +30,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
-from .eig import EigConfig, tridiag_extreme_eig
+from .eig import EigConfig, dstebz, dstein, tridiag_extreme_eig
 from .ensemble import SymmetricBanded
 
 # Micro-mesh used to realize the Brownian tape; each cell of width h sums
@@ -85,8 +84,18 @@ def _noiseless_bands(h: float, N: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=8)
 def _ground_state(h: float, N: int) -> np.ndarray:
-    """Read-only unit eigenvector of the noiseless operator's smallest eigenvalue."""
-    vector = eigh_tridiagonal(*_noiseless_bands(h, N), select="i", select_range=(0, 0))[1][:, 0]
+    """Read-only unit eigenvector of the noiseless operator's smallest eigenvalue.
+
+    LAPACK dstebz finds that eigenvalue by index to full accuracy, in block
+    order, and dstein its eigenvector by inverse iteration: the two calls
+    ``scipy.linalg.eigh_tridiagonal(select="i", select_range=(0, 0))`` makes.
+    """
+    diag, offdiag = _noiseless_bands(h, N)
+    _, w, iblock, isplit, info = dstebz(diag, offdiag, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    v, info_v = dstein(diag, offdiag, w[:1], iblock, isplit)
+    if info or info_v:
+        raise RuntimeError(f"LAPACK failed on the noiseless Airy operator at h={h}, N={N}")
+    vector = v[:, 0]
     vector.flags.writeable = False
     return vector
 

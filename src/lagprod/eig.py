@@ -31,13 +31,42 @@ non-finite entry, and only for that matrix.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpttrf, dsbevx, dstebz
 
 from .ensemble import SymmetricBanded
+
+
+def _flapack():
+    """scipy's compiled LAPACK module, ``scipy.linalg._flapack``, loaded from its file.
+
+    ``import scipy.linalg`` first builds scipy's array-API layer (numpy.f2py,
+    numpy.ma, numpy.testing): 0.23-0.25 s and 27 MB of every command's
+    start-up on a 2-vCPU host, for the five routines below.  The module goes
+    into ``sys.modules`` under its own name, so a later ``import
+    scipy.linalg`` (whose ``lapack`` re-exports it) reuses this very module.
+    """
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        linalg = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], "linalg")
+        spec = FileFinder(linalg, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+        if spec is None:
+            raise ImportError(f"no LAPACK extension {name} in {linalg}")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+_lapack = _flapack()
+dpbtrf, dpttrf, dsbevx, dstebz, dstein = (
+    _lapack.dpbtrf, _lapack.dpttrf, _lapack.dsbevx, _lapack.dstebz, _lapack.dstein)
 
 # grid scales of the statistic in the first leading block of the edge solve
 EDGE_ROWS = 10

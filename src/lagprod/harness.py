@@ -33,11 +33,12 @@ by every later one; a sweep at another count terminates them and forks new
 ones.  A sweep cuts the replicates into w chunks of floor(reps/w) or
 ceil(reps/w): the caller runs chunk 0 itself, helper k is sent chunk k as
 ``(fn, start, stop)``, and the caller then receives the helpers' rows in
-order.  Any failure (an exception in any chunk, or a helper that dies)
-terminates and joins every helper before it is raised, so no later sweep
-reads a stale chunk.  Helpers keep the module state (and the open files)
-of the process as of their fork, so a monkeypatch applied later reaches
-``workers=1`` sweeps and the caller's chunk, not the helpers' chunks.
+order, each chunk's as the raw bytes of its float64 rows.  Any failure (an
+exception in any chunk, or a helper that dies) terminates and joins every
+helper before it is raised, so no later sweep reads a stale chunk.
+Helpers keep the module state (and the open files) of the process as of
+their fork, so a monkeypatch applied later reaches ``workers=1`` sweeps and
+the caller's chunk, not the helpers' chunks.
 Helpers are daemonic, so multiprocessing's exit handler terminates and joins
 them at interpreter exit; when the caller is killed they read end-of-file
 and exit.
@@ -76,7 +77,6 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .airy import DEFAULT_CUTOFF, DEFAULT_MESH, AiryDiscretization, sample_tw
 from .eig import EigConfig, banded_largest_eig
@@ -109,10 +109,11 @@ SHARED = ("beta", "reps", "seed", "workers", "out", "tol")  # taken by every mod
 # mode refuses every setting that is neither shared nor its own
 MODES = {"product": {"n": None, "p": None, "q": None}, "single": {"n": None, "p": None},
          "tw-reference": {"mesh": DEFAULT_MESH, "cutoff": DEFAULT_CUTOFF}}
-# the process's numeric stack, for every run report; numba is never imported, only looked up
+# the process's numeric stack, for every run report; scipy and numba are never
+# imported for it: their versions come from package metadata
 _NUMBA = importlib.util.find_spec("numba") and importlib.metadata.version("numba")
 VERSIONS = {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__, "numba": _NUMBA or "absent"}
+            "scipy": importlib.metadata.version("scipy"), "numba": _NUMBA or "absent"}
 
 
 class ConfigError(ValueError):
@@ -278,7 +279,9 @@ _pool = None
 
 
 def _serve(conn, ours) -> None:
-    """Helper loop: answer each ``(fn, start, stop)`` with its rows, or (exception, traceback)."""
+    """Helper loop: answer each ``(fn, start, stop)`` with the raw float64 bytes
+    of its rows (cheaper to pickle than the array, or than a list of its
+    floats past a few dozen), or with (exception, traceback)."""
     ours.close()  # so that the caller's death reads as end-of-file here
     while True:
         try:
@@ -286,7 +289,7 @@ def _serve(conn, ours) -> None:
         except EOFError:
             return
         try:
-            conn.send(fn(start, stop))
+            conn.send(np.asarray(fn(start, stop), dtype=np.float64).tobytes())
         except Exception as exc:
             conn.send((exc, traceback.format_exc()))
 
@@ -315,7 +318,7 @@ def _pmap(fn, count: int, workers: int) -> np.ndarray:
         # one chunk per process, so fn is pickled once per helper, not per replicate
         for k, (_, conn) in enumerate(_pool[1], start=1):
             conn.send((fn, bounds[k], bounds[k + 1]))
-        parts = [fn(0, bounds[1])]
+        parts = [np.asarray(fn(0, bounds[1]))]
         for proc, conn in _pool[1]:
             try:
                 part = conn.recv()
@@ -325,7 +328,8 @@ def _pmap(fn, count: int, workers: int) -> np.ndarray:
                                    f"with code {proc.exitcode}") from None
             if isinstance(part, tuple):
                 raise part[0] from RuntimeError(f"in helper process {proc.pid}:\n{part[1]}")
-            parts.append(part)
+            # every chunk's rows have the shape of the caller's, bar their count
+            parts.append(np.frombuffer(part).reshape(-1, *parts[0].shape[1:]))
         return np.concatenate(parts)
     except BaseException:
         _drop_pool()  # a failed sweep leaves no work behind in the helpers

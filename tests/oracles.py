@@ -3,6 +3,7 @@
 import numpy as np
 import scipy.linalg
 
+from lagprod.airy import _noiseless_bands
 from lagprod.ensemble import BidiagonalFactor, SymmetricBanded
 
 DENSE_ORACLE_MAX_N = 64
@@ -54,6 +55,11 @@ def dense_product_eigs(X_p: SymmetricBanded, X_q: SymmetricBanded) -> np.ndarray
     if np.abs(w.imag).max(initial=0.0) > 1e-8:
         raise ValueError("product spectrum is not numerically real")
     return np.sort(w.real)
+
+
+def airy_ground_state(h: float, N: int) -> np.ndarray:
+    """Unit eigenvector of the noiseless Airy operator's smallest eigenvalue, by scipy's wrapper."""
+    return scipy.linalg.eigh_tridiagonal(*_noiseless_bands(h, N), select="i", select_range=(0, 0))[1][:, 0]
 
 
 def ecdf_eval(values: np.ndarray, x: float) -> float:

@@ -10,7 +10,7 @@ from lagprod.eig import EPS, EigConfig, gershgorin_bounds, tridiag_extreme_eig
 from lagprod.ensemble import SymmetricBanded
 from lagprod.harness import ExperimentConfig, sweep
 from lagprod.variates import split_stream
-from oracles import allowed_error, dense_tridiagonal
+from oracles import airy_ground_state, allowed_error, dense_tridiagonal
 
 # first zero of the Airy function; ground state of -d^2/dx^2 + x on [0, inf)
 AIRY_GROUND = 2.33810741045977
@@ -33,6 +33,12 @@ def test_two_by_two_hand_case():
     assert [band.tolist() for band in A.bands] == [[3.0, 4.0], [-1.0]]
     lam = tridiag_extreme_eig(A, EigConfig(rel_tol=1e-12), airy._ground_state(1.0, 2))
     assert lam == pytest.approx((7.0 - math.sqrt(5.0)) / 2.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("h, N", [(0.1, 80), (0.02, 600)])
+def test_ground_state_is_scipys_eigenvector_bit_for_bit(h, N):
+    # the same dstebz and dstein calls that scipy.linalg.eigh_tridiagonal makes
+    assert airy._ground_state(h, N).tobytes() == airy_ground_state(h, N).tobytes()
 
 
 def test_noiseless_ground_state_refinement():

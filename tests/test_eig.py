@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,8 @@ from lagprod.variates import split_stream
 from oracles import allowed_error, dense_product_eigs, dense_tridiagonal
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
 
 
 def _diag_matrix(values):
@@ -395,3 +401,15 @@ def test_stacked_tridiagonal_solve_equals_each_matrix_alone():
     for r in range(5):
         alone = tridiag_extreme_eig(airy_tridiagonal(disc.beta, disc.h, disc.N, noise[r]), cfg, start)
         assert np.array_equal(values[r], alone, equal_nan=True)
+
+
+@pytest.mark.parametrize("first", ["lagprod.eig", "scipy.linalg.lapack"])
+def test_lapack_routines_are_scipys_own(first):
+    # eig loads scipy's LAPACK extension from its file; whichever is imported
+    # first, both must hold the very same module and routines, not two copies
+    code = (f"import {first}, lagprod.eig as eig, scipy.linalg.lapack as lapack\n"
+            "names = ('dpbtrf', 'dpttrf', 'dsbevx', 'dstebz', 'dstein')\n"
+            "print(eig._lapack is lapack._flapack and all(getattr(eig, f) is getattr(lapack, f) for f in names))")
+    proc = subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"

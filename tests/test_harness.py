@@ -593,8 +593,11 @@ def test_parallel_cli_sweep_leaks_nothing_at_exit(tmp_path):
 
 
 def test_cli_import_loads_no_scipy_stats_or_special():
-    # both cost CLI start-up time; the code that needs scipy.special imports it on first use
-    code = "import sys, lagprod.cli; print(*(m for m in ('scipy.stats', 'scipy.special') if m in sys.modules))"
+    # each costs CLI start-up time: the code that needs scipy.special imports it on
+    # first use, and lagprod.eig loads scipy's LAPACK extension without scipy.linalg
+    # (whose array-API layer imports numpy.testing)
+    names = ("scipy.stats", "scipy.special", "scipy.linalg", "numpy.testing")
+    code = f"import sys, lagprod.cli; print(*(m for m in {names!r} if m in sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
