@@ -23,7 +23,6 @@ from .harness import (
     MODES,
     SETTINGS,
     SHARED,
-    VERSIONS,
     ConfigError,
     compare_batches,
     json_text,
@@ -31,6 +30,7 @@ from .harness import (
     resolve_config,
     run_experiment,
     scaling_report,
+    versions,
     write_json,
     write_potential_csv,
 )
@@ -120,13 +120,12 @@ def diagnose_potential(**flags):
     """Mean potential path of sampled matrices versus the x^2/2 reference."""
     config = resolve_config("single", flags)
     result = mean_potential_path(config)
-    config.out.mkdir(parents=True, exist_ok=True)
     csv_path = config.out / "potential-path.csv"
     csv_sha256 = write_potential_csv(csv_path, result)
     sup = float(abs(result["mean"] - result["reference"]).max())
     write_json(config.out / "potential-report.json",
                {"n": config.n, "p": config.p, "beta": config.beta, "reps": config.reps, "seed": config.seed,
-                "tape": TAPE, "versions": dict(VERSIONS),
+                "tape": TAPE, "versions": dict(versions()),
                 "sup_abs_deviation": sup, "csv": str(csv_path), "csv_sha256": csv_sha256})
     click.echo(f"wrote {csv_path}")
     click.echo(f"sup |mean - x^2/2| over the full grid: {sup:.4f}")

@@ -1,15 +1,14 @@
 """Experiment runner: config ingestion, one seeded parallel sweep, persistence.
 
-Every mode is a chunk function ``fn(config, start, stop)`` of the config
-and a run of replicate indices, returning the rows of replicates
-``start..stop-1``; :func:`sweep` maps the mode's chunk function over
-``0..reps-1`` and is the one place a batch is drawn.  A chunk function cuts
-its run into blocks of at most :data:`STACK_DOUBLES` doubles per stacked
-array, draws each replicate of a block from its own stream, stacks the
-draws along a leading axis, and runs the matrix assembly, the solve and the
-statistic once per block (only the LAPACK calls run once per matrix).  Each
-row is computed with the same floating-point operations as it would be
-alone, so no value depends on how replicates are grouped.  There is one mode
+Every statistic is a block function ``fn(config, start, stop)``: it draws
+replicates ``start..stop-1`` each from its own stream, stacks the draws along
+a leading axis, and runs the matrix assembly, the solve and the statistic
+once for the block (only the LAPACK calls run once per matrix), returning
+one row per replicate.  Each row is computed with the same floating-point
+operations as it would be alone, so no value depends on how replicates are
+grouped.  :func:`_map_blocks` is the one place a batch is drawn: one loop,
+:func:`_chunk`, cuts each process's run of ``0..reps-1`` into blocks of at
+most :data:`STACK_DOUBLES` doubles per stacked array.  There is one mode
 per sampling command: ``product``, ``single`` and ``tw-reference``.  The
 potential path of ``diagnose-potential`` is a second statistic of ``single``
 draws: :func:`mean_potential_path` reads it off the very factor each
@@ -51,19 +50,19 @@ Persistence formats:
   serialized with repr (shortest round-trip); failed replicates (a
   non-finite solve) are recorded as ``nan``, never filled.
 * reports: JSON with fixed keys (:func:`json_text`), including the RNG
-  ``tape`` version and the ``versions`` of python, numpy, scipy and numba,
+  ``tape`` version and the :func:`versions` of python, numpy, scipy and numba,
   referencing artifact paths together with their sha256 checksums.
   :func:`run_experiment` returns the report dict it writes, and
   :func:`compare_batches` the KS payload.
 
-Every artifact is rewritten in place (:func:`_write`): a rerun into the same
-directory writes the same bytes as a fresh one and leaves no stale tail.
+Every artifact is written by :func:`_write`, which makes its directory and
+rewrites the file in place: a rerun into the same directory writes the same
+bytes as a fresh one and leaves no stale tail.
 """
 
 from __future__ import annotations
 
 import hashlib
-import importlib.metadata
 import importlib.util
 import json
 import math
@@ -73,7 +72,7 @@ import platform
 import time
 import traceback
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -109,15 +108,27 @@ SHARED = ("beta", "reps", "seed", "workers", "out", "tol")  # taken by every mod
 # mode refuses every setting that is neither shared nor its own
 MODES = {"product": {"n": None, "p": None, "q": None}, "single": {"n": None, "p": None},
          "tw-reference": {"mesh": DEFAULT_MESH, "cutoff": DEFAULT_CUTOFF}}
-# the process's numeric stack, for every run report; scipy and numba are never
-# imported for it: their versions come from package metadata
-_NUMBA = importlib.util.find_spec("numba") and importlib.metadata.version("numba")
-VERSIONS = {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": importlib.metadata.version("scipy"), "numba": _NUMBA or "absent"}
+
+
+@cache
+def versions() -> dict:
+    """The numeric stack of every report; scipy's and numba's versions come from package metadata."""
+    import importlib.metadata
+
+    numba = importlib.util.find_spec("numba") and importlib.metadata.version("numba")
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": importlib.metadata.version("scipy"), "numba": numba or "absent"}
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (maps to CLI exit code 2)."""
+
+
+def _out_dir(out: Path | str) -> Path:
+    """``out`` as a path, refused when it names an existing file or lies under one."""
+    if not next(p for p in (Path(out), *Path(out).parents) if p.exists()).is_dir():
+        raise ConfigError(f"out must name a directory, but {out} is a file or lies under one")
+    return Path(out)
 
 
 @dataclass(frozen=True)
@@ -141,7 +152,7 @@ class ExperimentConfig:
     cutoff: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "out", Path(self.out))
+        object.__setattr__(self, "out", _out_dir(self.out))
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; choose from {tuple(MODES)}")
         own = MODES[self.mode]
@@ -219,18 +230,11 @@ def resolve_config(mode: str, flags: dict, config_path: Path | str | None = None
         raise ConfigError(str(exc)) from exc
 
 
-# --- replicates: chunk functions fn(config, start, stop), top level for picklability
+# --- replicates: block functions fn(config, start, stop), top level for picklability
 
 # the most doubles a stacked array of one block holds (at least one replicate
 # per block), so a chunk's memory does not grow with its replicate count
 STACK_DOUBLES = 2**16
-
-
-def _blocks(start: int, stop: int, width: int) -> list[range]:
-    """Consecutive runs of replicates start..stop-1, each stacking at most
-    :data:`STACK_DOUBLES` doubles at ``width`` doubles per replicate."""
-    step = max(1, STACK_DOUBLES // width)
-    return [range(a, min(a + step, stop)) for a in range(start, stop, step)]
 
 
 def _factors(config: ExperimentConfig, kappa: int, streams) -> BidiagonalFactor:
@@ -244,34 +248,38 @@ def _factors(config: ExperimentConfig, kappa: int, streams) -> BidiagonalFactor:
 
 def _product_replicate(config: ExperimentConfig, start: int, stop: int) -> np.ndarray:
     sc = config.constants
-    rows = []
-    for block in _blocks(start, stop, 2 * config.n):
-        B_p = _factors(config, config.p, [2 * r for r in block])
-        B_q = _factors(config, config.q, [2 * r + 1 for r in block])
-        S = product_similarity(B_q, laguerre_matrix(B_p))
-        rows.append(product_statistic(banded_largest_eig(S, config.eig_config(), sc.m_n), sc))
-    return np.concatenate(rows)
+    B_p = _factors(config, config.p, range(2 * start, 2 * stop, 2))
+    B_q = _factors(config, config.q, range(2 * start + 1, 2 * stop, 2))
+    S = product_similarity(B_q, laguerre_matrix(B_p))
+    return product_statistic(banded_largest_eig(S, config.eig_config(), sc.m_n), sc)
 
 
 def _single_replicate(config: ExperimentConfig, start: int, stop: int) -> np.ndarray:
     s = config.constants
-    rows = []
-    for block in _blocks(start, stop, 2 * config.n):
-        X = laguerre_matrix(_factors(config, config.p, block))
-        rows.append((banded_largest_eig(X, config.eig_config(), s.m) - s.mu) / s.sigma)
-    return np.concatenate(rows)
+    X = laguerre_matrix(_factors(config, config.p, range(start, stop)))
+    return (banded_largest_eig(X, config.eig_config(), s.m) - s.mu) / s.sigma
 
 
 def _tw_replicate(config: ExperimentConfig, start: int, stop: int) -> np.ndarray:
-    disc = config.constants
-    return np.concatenate([
-        sample_tw(disc, [split_stream(config.seed, r) for r in block], config.eig_config())
-        for block in _blocks(start, stop, disc.N * disc.mc)])
+    streams = [split_stream(config.seed, r) for r in range(start, stop)]
+    return sample_tw(config.constants, streams, config.eig_config())
 
 
 def _path_replicate(config: ExperimentConfig, start: int, stop: int) -> np.ndarray:
-    return np.concatenate([potential_path(_factors(config, config.p, block), config.constants)
-                           for block in _blocks(start, stop, 2 * config.n)])
+    return potential_path(_factors(config, config.p, range(start, stop)), config.constants)
+
+
+def _chunk(replicate, width: int, config: ExperimentConfig, start: int, stop: int) -> np.ndarray:
+    """The rows of ``replicate`` over blocks of start..stop-1 of at most :data:`STACK_DOUBLES` doubles."""
+    step = max(1, STACK_DOUBLES // width)
+    return np.concatenate([replicate(config, a, min(a + step, stop)) for a in range(start, stop, step)])
+
+
+def _map_blocks(replicate, config: ExperimentConfig) -> np.ndarray:
+    """The rows of the block function ``replicate`` over replicates 0..reps-1, in order."""
+    # the doubles one replicate stacks: the Airy tape's N * mc micro-normals, or a chi factor's 2n
+    width = config.constants.N * config.constants.mc if config.mode == "tw-reference" else 2 * config.n
+    return _pmap(partial(_chunk, replicate, width, config), config.reps, config.workers)
 
 
 # the process's helpers, ((pid, workers), [(process, pipe end), ...]); see the module docstring
@@ -352,7 +360,7 @@ def sweep(config: ExperimentConfig) -> np.ndarray:
     # looked up per call, so a replicate patched on the module is the one run
     replicate = {"product": _product_replicate, "single": _single_replicate,
                  "tw-reference": _tw_replicate}[config.mode]
-    return _pmap(partial(replicate, config), config.reps, config.workers)
+    return _map_blocks(replicate, config)
 
 
 # --- persistence -----------------------------------------------------------
@@ -367,12 +375,13 @@ def _parse_value(s: str):
     return s
 
 
-def _write(path: Path, data: bytes) -> None:
-    """Rewrite ``path`` with ``data`` in place, cutting off any longer old tail.
+def _write(path: Path, data: bytes) -> str:
+    """Rewrite ``path`` with ``data`` in place, making its directory; returns their sha256.
 
-    Truncating an existing file to empty before writing it frees its blocks, which can
-    cost more than the write; overwriting, then truncating to the new length, does not.
+    Overwriting, then truncating to the new length, cuts off any longer old tail; truncating
+    an existing file to empty first would free its blocks, which can cost more than the write.
     """
+    path.parent.mkdir(parents=True, exist_ok=True)
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         view = memoryview(data)
@@ -381,6 +390,7 @@ def _write(path: Path, data: bytes) -> None:
         os.ftruncate(fd, len(data))
     finally:
         os.close(fd)
+    return hashlib.sha256(data).hexdigest()
 
 
 def write_batch_csv(path: Path, label: str, params: dict, rows: np.ndarray) -> str:
@@ -389,9 +399,7 @@ def write_batch_csv(path: Path, label: str, params: dict, rows: np.ndarray) -> s
     lines += [f"# {k}={params[k]}" for k in sorted(params)]  # a float's str is its repr
     lines.append("replicate,value")
     lines += [f"{r},{repr(float(v))}" for r, v in enumerate(rows)]
-    data = ("\n".join(lines) + "\n").encode("utf-8")
-    _write(path, data)
-    return hashlib.sha256(data).hexdigest()
+    return _write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_batch_csv(path: Path | str) -> dict:
@@ -500,8 +508,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[Path, dict]:
     rows = sweep(config)
     params, constants = _sample_params(config)
     failures = params["failures"] = int(np.isnan(rows).sum())
-
-    config.out.mkdir(parents=True, exist_ok=True)
     batch_path = config.out / f"{config.mode}-samples.csv"
     batch_sha256 = write_batch_csv(batch_path, config.mode, params, rows)
 
@@ -509,7 +515,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[Path, dict]:
     wall = time.perf_counter() - t0
     report = {
         "tape": TAPE,
-        "versions": dict(VERSIONS),
+        "versions": dict(versions()),
         "config": _field_dict(config) | {"out": str(config.out), "tol": config.eig_config().rel_tol},
         "constants": constants,
         "moments": mom,
@@ -524,16 +530,15 @@ def run_experiment(config: ExperimentConfig) -> tuple[Path, dict]:
 
 def compare_batches(path_a: Path | str, path_b: Path | str, out: Path | str | None = None) -> dict:
     """KS-compare two persisted batches; returns the JSON payload (written when ``out`` is given)."""
+    out = None if out is None else _out_dir(out)  # refused before any work
     a = read_batch_csv(path_a)
     b = read_batch_csv(path_b)
     payload = ks_two_sample(a["values"], b["values"]) | {
-        "versions": dict(VERSIONS),
+        "versions": dict(versions()),
         "batch_a": {"path": str(path_a), "label": a["label"], "params": a["params"]},
         "batch_b": {"path": str(path_b), "label": b["label"], "params": b["params"]},
     }
     if out is not None:
-        out = Path(out)
-        out.mkdir(parents=True, exist_ok=True)
         write_json(out / "ks-report.json", payload)
     return payload
 
@@ -549,7 +554,7 @@ def mean_potential_path(config: ExperimentConfig) -> dict[str, np.ndarray]:
     if config.n < 2:
         raise ConfigError(f"the potential path needs n >= 2 for a grid point, got n={config.n}")
     M = config.reps
-    paths = _pmap(partial(_path_replicate, config), M, config.workers)
+    paths = _map_blocks(_path_replicate, config)
     x = np.arange(1, config.n) / config.constants.m
     return {
         "x": x,
@@ -561,11 +566,6 @@ def mean_potential_path(config: ExperimentConfig) -> dict[str, np.ndarray]:
 
 def write_potential_csv(path: Path, result: dict[str, np.ndarray]) -> str:
     """Write the potential path table of :func:`mean_potential_path`; returns its sha256."""
-    lines = ["x,mean,stderr,reference"]
-    for k in range(len(result["x"])):
-        lines.append(
-            ",".join(repr(float(result[col][k])) for col in ("x", "mean", "stderr", "reference"))
-        )
-    data = ("\n".join(lines) + "\n").encode("utf-8")
-    _write(path, data)
-    return hashlib.sha256(data).hexdigest()
+    cols = ("x", "mean", "stderr", "reference")
+    lines = [",".join(cols)] + [",".join(repr(float(v)) for v in row) for row in zip(*map(result.get, cols))]
+    return _write(path, ("\n".join(lines) + "\n").encode("utf-8"))

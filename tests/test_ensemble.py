@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.special import gammaln
 
 from lagprod import ensemble
 from lagprod.eig import EigConfig, banded_largest_eig, gershgorin_bounds
@@ -14,7 +13,7 @@ from lagprod.ensemble import (
 from lagprod.harness import ExperimentConfig, mean_potential_path
 from lagprod.scaling import single_scaling
 from lagprod.variates import chi, split_stream
-from oracles import dense_bidiagonal, dense_tridiagonal
+from oracles import chi_mean, dense_bidiagonal, dense_tridiagonal
 
 
 def test_params_validation():
@@ -134,20 +133,11 @@ def test_single_matrix_strong_law():
     assert 0.9 < np.mean(ratios) < 1.02
 
 
-def _chi_mean(alpha):
-    alpha = np.asarray(alpha, dtype=float)
-    out = np.zeros_like(alpha)
-    pos = alpha > 0
-    a = alpha[pos]
-    out[pos] = np.sqrt(2.0) * np.exp(gammaln((a + 1) / 2) - gammaln(a / 2))
-    return out
-
-
 def _deterministic_path(n, i, beta):
     # noise terms replaced by their exact means (gamma-function chi moments)
     j = np.arange(1, n)
     terms = (2 * j - 1) + 2 * (
-        np.sqrt(float(n) * i) - _chi_mean(beta * (n - j)) * _chi_mean(beta * (i - j)) / beta
+        np.sqrt(float(n) * i) - chi_mean(beta * (n - j)) * chi_mean(beta * (i - j)) / beta
     )
     m = single_scaling(n, i).m
     return j / m, np.cumsum(terms) * m / np.sqrt(float(n) * i)

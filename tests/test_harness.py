@@ -133,7 +133,7 @@ def test_csv_bytes_do_not_depend_on_block_grouping(tmp_path, monkeypatch, comman
 def test_sweep_looks_up_replicates_at_call_time(tmp_path, monkeypatch):
     # the benchmark's traced runs count replicates by patching these module
     # attributes; a sweep bound to them at import time would never call the patch.
-    # Each call covers a chunk (config, start, stop) or a stack of matrices.
+    # Each call covers a block (config, start, stop) or a stack of matrices.
     calls = dict.fromkeys(("_product_replicate", "_tw_replicate", "banded_largest_eig"), 0)
 
     def counting(name, real):
@@ -189,6 +189,27 @@ def test_read_batch_csv_reports_bad_lines(tmp_path):
     assert not out.exists()
 
 
+def test_out_naming_a_file_is_a_config_error(tmp_path):
+    # every command that takes --out refuses a file there, or a path under one, from
+    # a flag or a config file, before it samples or reads anything; nothing is written
+    batch = tmp_path / "batch.csv"
+    write_batch_csv(batch, "x", {}, np.array([0.0, 1.0]))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"out = {batch}\n")
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    commands = [["sample-product", "--n", "4", "--p", "4", "--q", "4"],
+                ["sample-single", "--n", "4", "--p", "4"],
+                ["sample-tw", "--mesh", "0.1", "--cutoff", "8"],
+                ["diagnose-potential", "--n", "4", "--p", "4"],
+                ["compare", str(batch), str(batch)]]
+    runs = [[*args, "--out", str(out)] for args in commands for out in (batch, batch / "sub")]
+    for args in [*runs, ["sample-single", "--n", "4", "--p", "4", "--config", str(cfg)]]:
+        res = CliRunner().invoke(cli_main, args)
+        assert res.exit_code == 2, (args, res.output)
+        assert res.output.startswith("config error:"), (args, res.output)
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 def test_compare_self_is_zero(tmp_path):
     config = _tw_config(tmp_path)
     run_experiment(config)
@@ -200,7 +221,7 @@ def test_compare_self_is_zero(tmp_path):
     assert payload["batch_a"]["params"]["beta"] == 2.0
     written = json.loads((tmp_path / "ks-report.json").read_text())
     assert written.keys() == {"D", "p_value", "n_a", "n_b", "versions", "batch_a", "batch_b"}
-    assert written["versions"] == harness.VERSIONS
+    assert written["versions"] == harness.versions()
     assert written == payload
 
 
@@ -594,9 +615,10 @@ def test_parallel_cli_sweep_leaks_nothing_at_exit(tmp_path):
 
 def test_cli_import_loads_no_scipy_stats_or_special():
     # each costs CLI start-up time: the code that needs scipy.special imports it on
-    # first use, and lagprod.eig loads scipy's LAPACK extension without scipy.linalg
-    # (whose array-API layer imports numpy.testing)
-    names = ("scipy.stats", "scipy.special", "scipy.linalg", "numpy.testing")
+    # first use, lagprod.eig loads scipy's LAPACK extension without scipy.linalg
+    # (whose array-API layer imports numpy.testing), and the report versions read
+    # package metadata only when the first report is written
+    names = ("scipy.stats", "scipy.special", "scipy.linalg", "numpy.testing", "importlib.metadata")
     code = f"import sys, lagprod.cli; print(*(m for m in {names!r} if m in sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -621,7 +643,7 @@ def test_run_report_json_checksums(tmp_path):
     assert payload.keys() == {"tape", "versions", "config", "constants", "failures", "moments",
                               "artifacts", "timing"}
     assert payload["versions"] == {"python": platform.python_version(), "numpy": np.__version__,
-                                   "scipy": scipy.__version__, "numba": harness.VERSIONS["numba"]}
+                                   "scipy": scipy.__version__, "numba": harness.versions()["numba"]}
     assert payload["moments"].keys() == {"mean", "variance", "skewness", "se_mean", "se_variance"}
     assert payload["artifacts"].keys() == {"samples_csv"}
     assert payload["artifacts"]["samples_csv"].keys() == {"path", "sha256"}
@@ -647,7 +669,7 @@ def _span_targets() -> dict:
     raise AssertionError("benchmark/runner.py defines no SPAN_TARGETS")
 
 
-# the replicates one call to a span target covers: a chunk's range, a stack's
+# the replicates one call to a span target covers: a block's range, a stack's
 # rows (one per matrix or stream); every other target covers one per call
 _COVERED = {
     "rep": lambda config, start, stop: stop - start,
@@ -662,8 +684,10 @@ _COVERED = {
 
 def test_benchmark_span_targets_resolve_and_see_every_replicate(tmp_path, monkeypatch):
     # a traced benchmark run wraps each target where the sweep looks it up and
-    # fails on a missing one; count the replicates one sweep per mode covers there
+    # fails on a missing one; count the replicates one sweep per mode covers
+    # there, and the calls
     counts: dict = {}
+    calls: dict = {}
     for name, targets in _span_targets().items():
         for module_name, attr in targets:
             module = importlib.import_module(module_name)
@@ -672,6 +696,7 @@ def test_benchmark_span_targets_resolve_and_see_every_replicate(tmp_path, monkey
             def counted(*args, _name=name, _real=real, **kwargs):
                 covered = _COVERED.get(_name, lambda *a, **k: 1)(*args, **kwargs)
                 counts[_name] = counts.get(_name, 0) + covered
+                calls[_name] = calls.get(_name, 0) + 1
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(module, attr, counted)
@@ -688,6 +713,21 @@ def test_benchmark_span_targets_resolve_and_see_every_replicate(tmp_path, monkey
     run_experiment(ExperimentConfig(mode="single", n=6, p=8, reps=5, seed=1, out=tmp_path))
     assert counts["ensemble.laguerre_matrix"] == counts["eig.banded_largest_eig"] == 5
     assert "eig.tridiag_extreme_eig" not in counts
+
+    # blocks of two replicates, so the one chunk of 5 holds three blocks: each
+    # replicate span (single mode has none, so its assembly stands in) and the
+    # solver's see every block once.  Doubles per replicate as in _BLOCK_CASES.
+    for config, width, spans in [
+        (_tw_config(tmp_path, reps=5), 80 * 20, ("rep", "eig.tridiag_extreme_eig")),
+        (ExperimentConfig(mode="product", n=6, p=7, q=9, reps=5, seed=1, out=tmp_path), 12,
+         ("rep", "eig.banded_largest_eig")),
+        (ExperimentConfig(mode="single", n=6, p=8, reps=5, seed=1, out=tmp_path), 12,
+         ("ensemble.laguerre_matrix", "eig.banded_largest_eig")),
+    ]:
+        monkeypatch.setattr(harness, "STACK_DOUBLES", 2 * width)
+        calls.clear()
+        run_experiment(config)
+        assert [calls.get(k) for k in spans] == [3, 3], (config.mode, calls)
 
 
 def test_single_mode_statistic(tmp_path):
@@ -862,7 +902,7 @@ def test_cli_diagnose_potential(tmp_path):
     assert len(lines) == 10  # header + n-1 grid rows
     report = json.loads((tmp_path / "potential-report.json").read_text())
     assert report["tape"] == 2
-    assert report["versions"] == harness.VERSIONS
+    assert report["versions"] == harness.versions()
     assert report["csv_sha256"] == hashlib.sha256((tmp_path / "potential-path.csv").read_bytes()).hexdigest()
 
     assert "[default: 2000]" in runner.invoke(cli_main, ["diagnose-potential", "--help"]).output

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ai_zeros
 
 from lagprod.scaling import (
     closed_form_Cn,
@@ -10,6 +11,7 @@ from lagprod.scaling import (
     product_statistic,
     single_scaling,
 )
+from oracles import airy_quartic_moment, linear_response
 
 GRID = [(n, n + dp, n + dp + dq) for n in (2, 16, 300) for dp in (0, 3, 40) for dq in (0, 5, 100)]
 
@@ -142,3 +144,38 @@ def test_coupled_ordering_validation():
         coupled_scaling(4, 5, 4, 1.0)
     with pytest.raises(ValueError):
         coupled_scaling(4, 5, 6, 0.0)
+
+
+# (p/n, q/n) of the linear-response checks: the paper's p = q point, and three where
+# the printed C_n is 1.4 to 28 times the operative one
+RESPONSE_RATIOS = [(1, 1), (1, 16), (4, 16), (1, 1000)]
+
+
+def test_airy_ground_state_quartic_moment():
+    assert abs(airy_quartic_moment() - 1.669734) <= 1e-6
+
+
+def test_linear_response_beta0_is_the_operative_one_not_the_printed_one():
+    # the eigenvalue's first-order noise strength sets beta0 = C_n beta with the
+    # operative C_n; the printed closed form is far off wherever p != q
+    n = 65536
+    for a, b in RESPONSE_RATIOS:
+        beta0_hat, _ = linear_response(n, a * n, b * n, 1.0)
+        beta0 = coupled_scaling(n, a * n, b * n, 1.0).beta0
+        assert abs(beta0_hat / beta0 - 1) < 0.005, (a, b, beta0_hat, beta0)
+        if a != b:
+            assert abs(beta0_hat - closed_form_Cn(n, a * n, b * n)) / beta0 > 0.30, (a, b, beta0_hat)
+
+
+def test_linear_response_excess_and_edge_fall_with_n():
+    # the finite-n excess of beta0 shrinks toward the operative value, and at beta = inf
+    # the deterministic edge T_inf(n) approaches -|a_1|, where mu_n and stat_denom put it
+    ns = (256, 1024, 4096)
+    for a, b in RESPONSE_RATIOS:
+        excess = [linear_response(n, a * n, b * n, 1.0)[0] - coupled_scaling(n, a * n, b * n, 1.0).beta0
+                  for n in ns]
+        assert excess[0] > excess[1] > excess[2], (a, b, excess)
+    abs_a1 = -ai_zeros(1)[0][0]
+    for a, b in RESPONSE_RATIOS[:2]:
+        gap = [linear_response(n, a * n, b * n, math.inf)[1] + abs_a1 for n in ns]
+        assert gap[0] > gap[1] > gap[2], (a, b, gap)
