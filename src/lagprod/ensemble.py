@@ -21,8 +21,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .variates import chi
-
 
 @dataclass(frozen=True)
 class EnsembleParams:
@@ -105,16 +103,23 @@ def _chi_params(n: int, kappa: int, beta: float) -> np.ndarray:
     return alpha
 
 
-def sample_bidiagonal(params: EnsembleParams, stream: np.random.Generator) -> BidiagonalFactor:
-    """Draw one bidiagonal factor from its own generator.
+def sample_bidiagonal(params: EnsembleParams, streams) -> BidiagonalFactor:
+    """Draw one bidiagonal factor from one generator, or a stack of B from a sequence of B.
 
-    Tape discipline (tape 2): all n diagonal entries in order, then all n-1
-    subdiagonal entries, in one vectorized chi draw that fills them in that
-    order.  The entries are independent, so the order does not affect the law.
+    Tape discipline (tape 2): each generator fills its row with all n diagonal
+    entries in order, then all n-1 subdiagonal entries, in one vectorized
+    draw of the chi variates :func:`lagprod.variates.chi` draws.  The entries
+    are independent, so the order does not affect the law.
     """
     n, kappa, beta = params.n, params.kappa, params.beta
-    x = chi(stream, _chi_params(n, kappa, beta))
-    return BidiagonalFactor(n=n, kappa=kappa, beta=beta, diag=x[:n], subdiag=x[n:])
+    half = 0.5 * _chi_params(n, kappa, beta)
+    single = isinstance(streams, np.random.Generator)
+    x = np.empty((1 if single else len(streams), 2 * n - 1))
+    for row, stream in zip(x, [streams] if single else streams):
+        stream.standard_gamma(half, out=row)
+    np.sqrt(np.multiply(x, 2.0, out=x), out=x)
+    x = x[0] if single else x
+    return BidiagonalFactor(n=n, kappa=kappa, beta=beta, diag=x[..., :n], subdiag=x[..., n:])
 
 
 def laguerre_matrix(factor: BidiagonalFactor) -> SymmetricBanded:

@@ -21,9 +21,9 @@ or the Airy discretization) there; the sweep and the report of a run reuse
 and show them.
 
 Replicate r of a run with master seed s draws only from the streams
-``split_stream(s, r)`` (product mode: ``(s, 2r)`` and ``(s, 2r+1)``, one per
-factor), so the set of sample values is independent of worker count and
-scheduling; outputs are byte-identical for any --workers value.  The
+``(s, r)`` of :func:`lagprod.variates.streams` (product mode: ``(s, 2r)`` and
+``(s, 2r+1)``, one per factor), so the set of sample values is independent of
+worker count and scheduling; outputs are byte-identical for any --workers value.  The
 worker count is capped at the replicate count; one worker runs in-process.
 
 At w >= 2 workers the process keeps w - 1 helper processes, each joined to
@@ -79,13 +79,12 @@ import numpy as np
 
 from .airy import DEFAULT_CUTOFF, DEFAULT_MESH, AiryDiscretization, sample_tw
 from .eig import EigConfig, banded_largest_eig
-from .ensemble import (BidiagonalFactor, EnsembleParams, laguerre_matrix, potential_path,
-                       sample_bidiagonal)
+from .ensemble import EnsembleParams, laguerre_matrix, potential_path, sample_bidiagonal
 from .product import product_similarity
 from .scaling import (ScalingConstants, closed_form_Cn, closed_form_cn, coupled_scaling,
                       product_statistic, single_scaling)
 from .stats import ks_two_sample, moments
-from .variates import TAPE, split_stream
+from .variates import TAPE, streams
 
 # The one table of run settings, each with its type and help: config files cast
 # by it, and every command's flag that names a setting is built from its entry.
@@ -112,12 +111,18 @@ MODES = {"product": {"n": None, "p": None, "q": None}, "single": {"n": None, "p"
 
 @cache
 def versions() -> dict:
-    """The numeric stack of every report; scipy's and numba's versions come from package metadata."""
-    import importlib.metadata
+    """The numeric stack of every report: scipy's version from its ``version.py``, without
+    importing scipy, and numba's from package metadata, imported only when numba is installed."""
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    scipy_version: dict = {}
+    exec(Path(scipy_dir, "version.py").read_text(encoding="utf-8"), scipy_version)
+    numba = "absent"
+    if importlib.util.find_spec("numba"):
+        from importlib.metadata import version
 
-    numba = importlib.util.find_spec("numba") and importlib.metadata.version("numba")
+        numba = version("numba")
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": importlib.metadata.version("scipy"), "numba": numba or "absent"}
+            "scipy": scipy_version["version"], "numba": numba}
 
 
 class ConfigError(ValueError):
@@ -237,36 +242,28 @@ def resolve_config(mode: str, flags: dict, config_path: Path | str | None = None
 STACK_DOUBLES = 2**16
 
 
-def _factors(config: ExperimentConfig, kappa: int, streams) -> BidiagonalFactor:
-    """The factors drawn from the run's given streams, one each, stacked in that order."""
-    params = EnsembleParams(n=config.n, kappa=kappa, beta=config.beta)
-    drawn = [sample_bidiagonal(params, split_stream(config.seed, s)) for s in streams]
-    return BidiagonalFactor(n=config.n, kappa=kappa, beta=config.beta,
-                            diag=np.array([f.diag for f in drawn]),
-                            subdiag=np.array([f.subdiag for f in drawn]))
-
-
 def _product_replicate(config: ExperimentConfig, start: int, stop: int) -> np.ndarray:
-    sc = config.constants
-    B_p = _factors(config, config.p, range(2 * start, 2 * stop, 2))
-    B_q = _factors(config, config.q, range(2 * start + 1, 2 * stop, 2))
+    sc, n, beta, seed = config.constants, config.n, config.beta, config.seed
+    B_p = sample_bidiagonal(EnsembleParams(n, config.p, beta), streams(seed, range(2 * start, 2 * stop, 2)))
+    B_q = sample_bidiagonal(EnsembleParams(n, config.q, beta), streams(seed, range(2 * start + 1, 2 * stop, 2)))
     S = product_similarity(B_q, laguerre_matrix(B_p))
     return product_statistic(banded_largest_eig(S, config.eig_config(), sc.m_n), sc)
 
 
 def _single_replicate(config: ExperimentConfig, start: int, stop: int) -> np.ndarray:
-    s = config.constants
-    X = laguerre_matrix(_factors(config, config.p, range(start, stop)))
-    return (banded_largest_eig(X, config.eig_config(), s.m) - s.mu) / s.sigma
+    s, seed = config.constants, config.seed
+    B = sample_bidiagonal(EnsembleParams(config.n, config.p, config.beta), streams(seed, range(start, stop)))
+    return (banded_largest_eig(laguerre_matrix(B), config.eig_config(), s.m) - s.mu) / s.sigma
 
 
 def _tw_replicate(config: ExperimentConfig, start: int, stop: int) -> np.ndarray:
-    streams = [split_stream(config.seed, r) for r in range(start, stop)]
-    return sample_tw(config.constants, streams, config.eig_config())
+    return sample_tw(config.constants, streams(config.seed, range(start, stop)), config.eig_config())
 
 
 def _path_replicate(config: ExperimentConfig, start: int, stop: int) -> np.ndarray:
-    return potential_path(_factors(config, config.p, range(start, stop)), config.constants)
+    seed = config.seed
+    B = sample_bidiagonal(EnsembleParams(config.n, config.p, config.beta), streams(seed, range(start, stop)))
+    return potential_path(B, config.constants)
 
 
 def _chunk(replicate, width: int, config: ExperimentConfig, start: int, stop: int) -> np.ndarray:

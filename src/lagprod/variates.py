@@ -6,9 +6,16 @@ gives avalanche behavior over both, so nearby (seed, index) pairs yield
 unrelated streams, and the tape a stream produces is a pure function of
 ``(seed, index, draw count)``: replicates drawing from their own indices
 reproduce bit-identically on any number of workers.
+
+That tape is unchanged, but no SeedSequence is built for it: :func:`_state`
+computes the PCG64 state from SeedSequence's mix (the seed's share cached)
+and PCG64's seeding step, and :func:`streams` hands back one reused
+generator, valid until the next one is drawn.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,21 +25,85 @@ import numpy as np
 TAPE = 2
 
 _MAX_UINT64 = 2**64 - 1
+_M32, _M128 = 2**32 - 1, 2**128 - 1
+# SeedSequence's hash constants: the k-th hash of its mix xors a word with _MIX[k] and
+# multiplies by _MIX[k + 1], and its i-th output word likewise with _OUT[i], _OUT[i + 1]
+_MIX = [0x43B0D7E5 * pow(0x931E8875, k, 2**32) & _M32 for k in range(25)]
+_OUT = [0x8B51F9DD * pow(0x58F38DED, i, 2**32) & _M32 for i in range(9)]
+# (pool word, constants) of the spawn key's hashes, four per key word, and of the output words
+_KEY_HASHES = [[(d, _MIX[k], _MIX[k + 1]) for d, k in enumerate(range(j, j + 4))] for j in (16, 20)]
+_OUT_HASHES = [(i & 3, _OUT[i], _OUT[i + 1]) for i in range(8)]
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+
+
+def _hash(word: int, x: int, y: int) -> int:
+    h = (word ^ x) * y & _M32
+    return h ^ h >> 16
+
+
+def _mix(x: int, y: int) -> int:
+    m = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+    return m ^ m >> 16
+
+
+def _checked(value, name: str) -> int:
+    if not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    if not 0 <= int(value) <= _MAX_UINT64:
+        raise ValueError(f"{name} must fit in an unsigned 64-bit integer, got {value}")
+    return int(value)
+
+
+@lru_cache(maxsize=64)
+def _seed_pool(seed: int) -> tuple[int, ...]:
+    """SeedSequence's pool once the seed's words, zero-padded to four, are hashed in and mixed."""
+    pool = [_hash(w, _MIX[k], _MIX[k + 1]) for k, w in enumerate((seed & _M32, seed >> 32, 0, 0))]
+    for k, (s, d) in enumerate([(s, d) for s in range(4) for d in range(4) if s != d], start=4):
+        pool[d] = _mix(pool[d], _hash(pool[s], _MIX[k], _MIX[k + 1]))
+    return tuple(pool)
+
+
+def _state(seed: int, index: int) -> dict:
+    """The state of ``PCG64(SeedSequence(seed, spawn_key=(index,)))``, as ``.state`` takes it."""
+    pool = list(_seed_pool(seed))
+    for w, hashes in zip((index & _M32, index >> 32) if index > _M32 else (index,), _KEY_HASHES):
+        for d, x, y in hashes:
+            pool[d] = _mix(pool[d], _hash(w, x, y))
+    # eight output words, paired low first; PCG64 seeds its LCG with the first two
+    # 64-bit words as initial state and the last two as sequence
+    u = [_hash(pool[d], x, y) for d, x, y in _OUT_HASHES]
+    inc = ((u[5] << 32 | u[4]) << 65 | u[7] << 33 | u[6] << 1 | 1) & _M128
+    state = ((inc + ((u[1] << 32 | u[0]) << 64 | u[3] << 32 | u[2])) * _PCG_MULT + inc) & _M128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+
+
+class streams:
+    """Streams ``(seed, index)`` for each of ``indices``, in order, each set in turn on one
+    reused generator: the one handed back is valid until the next is drawn."""
+
+    _gen = np.random.Generator(np.random.PCG64(0))
+
+    def __init__(self, seed: int, indices):
+        self.seed, self.indices = _checked(seed, "seed"), indices
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __iter__(self):
+        for index in self.indices:
+            self._gen.bit_generator.state = _state(self.seed, _checked(index, "stream index"))
+            yield self._gen
 
 
 def split_stream(seed: int, index: int) -> np.random.Generator:
-    """Deterministic stream ``index`` of the master ``seed``.
+    """Deterministic stream ``index`` of the master ``seed``, as a generator of its own.
 
     Distinct indices give streams with no shared prefix; identical
     (seed, index) pairs replay the identical tape on any platform.
     """
-    for value, name in ((seed, "seed"), (index, "stream index")):
-        if not isinstance(value, (int, np.integer)):
-            raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
-        if not 0 <= int(value) <= _MAX_UINT64:
-            raise ValueError(f"{name} must fit in an unsigned 64-bit integer, got {value}")
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
-    return np.random.Generator(np.random.PCG64(ss))
+    gen = np.random.Generator(np.random.PCG64(0))
+    gen.bit_generator.state = _state(_checked(seed, "seed"), _checked(index, "stream index"))
+    return gen
 
 
 def chi(gen: np.random.Generator, alpha):

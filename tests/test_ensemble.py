@@ -12,7 +12,7 @@ from lagprod.ensemble import (
 )
 from lagprod.harness import ExperimentConfig, mean_potential_path
 from lagprod.scaling import single_scaling
-from lagprod.variates import chi, split_stream
+from lagprod.variates import chi, split_stream, streams
 from oracles import chi_mean, dense_bidiagonal, dense_tridiagonal
 
 
@@ -66,6 +66,27 @@ def test_sample_determinism():
     b = sample_bidiagonal(params, split_stream(3, 1))
     assert np.array_equal(a.diag, b.diag)
     assert np.array_equal(a.subdiag, b.subdiag)
+
+
+@pytest.mark.parametrize("n", [1, 3, 256])
+@pytest.mark.parametrize("beta", [0.37, 0.5, 1.0])
+def test_stacked_draw_rows_are_the_single_draws(n, beta):
+    # a stack of B factors draws row b from stream b exactly as that stream's own
+    # factor, and as one chi call over the factor's parameters, bit for bit
+    params, seed, indices = EnsembleParams(n=n, kappa=n + 5, beta=beta), 2**64 - 1, range(2**32 - 2, 2**32 + 3)
+    stack = sample_bidiagonal(params, streams(seed, indices))
+    assert stack.diag.shape == (5, n) and stack.subdiag.shape == (5, n - 1)
+    for row, index in enumerate(indices):
+        one = sample_bidiagonal(params, split_stream(seed, index))
+        assert np.array_equal(stack.diag[row], one.diag) and np.array_equal(stack.subdiag[row], one.subdiag)
+        law = chi(split_stream(seed, index), ensemble._chi_params(n, n + 5, beta))
+        assert np.array_equal(np.concatenate([one.diag, one.subdiag]), law)
+    # the one reused generator carries nothing from one stack to the next
+    again = sample_bidiagonal(params, streams(seed, indices))
+    assert np.array_equal(again.diag, stack.diag) and np.array_equal(again.subdiag, stack.subdiag)
+    drawn = streams(seed, indices)
+    first, second = sample_bidiagonal(params, drawn), sample_bidiagonal(params, drawn)
+    assert np.array_equal(first.diag, second.diag) and np.array_equal(first.subdiag, second.subdiag)
 
 
 def test_laguerre_n1_is_scalar_square():

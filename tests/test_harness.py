@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import hashlib
 import importlib
+import importlib.util
 import json
 import math
 import os
@@ -128,6 +129,33 @@ def test_csv_bytes_do_not_depend_on_block_grouping(tmp_path, monkeypatch, comman
     finally:
         harness._drop_pool()
     assert len(set(blobs.values())) == 1, [key for key, blob in blobs.items() if blob != blobs[1, 1]]
+
+
+# sha256 of each command's CSV under tape 2, as numpy's own SeedSequence and
+# PCG64 seed its streams (recorded with numpy 2.4.6 and scipy 1.17.1 on
+# x86-64).  sample-tw's 30 replicates at the default mesh span two blocks of
+# at most 27 at one worker.  A change that moves these values, even within a
+# solver certificate, must re-record the hashes and say so in CHANGES.md.
+_CSV_SHA256 = {
+    "sample-product": (["--n", "64", "--p", "96", "--q", "160", "--beta", "0.5", "--reps", "40", "--seed", "1301"],
+                       "cb905e9a96cdef52d68cee4fd676c2a408ae685f936849b71e49dac489ab930c"),
+    "sample-single": (["--n", "100", "--p", "130", "--beta", "2", "--reps", "40", "--seed", "5918"],
+                      "b45de3d6207d1a840f1f89591c8b9c04fd369dd7392ebc4d21d62bf15b18ef58"),
+    "sample-tw": (["--beta", "2", "--reps", "30", "--seed", "2002"],
+                  "bc7199830679d3bad0b3060339d8f66a9d0c83ec09af04494a0f48ebcada18b5"),
+    "diagnose-potential": (["--n", "100", "--p", "130", "--beta", "2", "--reps", "40", "--seed", "2013"],
+                           "c26dfac0ad0b6202cc506c27c8371f6f30e91518177c1c9c04951404834058ef"),
+}
+
+
+@pytest.mark.parametrize("command", list(_CSV_SHA256))
+@pytest.mark.parametrize("workers", [1, 2])
+def test_csv_bytes_are_pinned(tmp_path, command, workers):
+    flags, sha256 = _CSV_SHA256[command]
+    res = CliRunner().invoke(cli_main, [command, *flags, "--workers", str(workers), "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    (csv,) = tmp_path.glob("*.csv")
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == sha256
 
 
 def test_sweep_looks_up_replicates_at_call_time(tmp_path, monkeypatch):
@@ -617,12 +645,29 @@ def test_cli_import_loads_no_scipy_stats_or_special():
     # each costs CLI start-up time: the code that needs scipy.special imports it on
     # first use, lagprod.eig loads scipy's LAPACK extension without scipy.linalg
     # (whose array-API layer imports numpy.testing), and the report versions read
-    # package metadata only when the first report is written
+    # package metadata only for numba, when it is installed
     names = ("scipy.stats", "scipy.special", "scipy.linalg", "numpy.testing", "importlib.metadata")
     code = f"import sys, lagprod.cli; print(*(m for m in {names!r} if m in sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+def test_product_run_leaves_package_metadata_unloaded(tmp_path):
+    # its report reads scipy's version from scipy/version.py; importlib.metadata
+    # adds about 1 MB to a process's peak RSS and is loaded only to find numba's
+    if importlib.util.find_spec("numba"):
+        pytest.skip("numba's version is read from package metadata")
+    code = ("import sys; from lagprod.cli import main\n"
+            "try:\n    main(['sample-product', '--n', '6', '--p', '7', '--q', '9', '--reps', '3',"
+            f" '--out', {str(tmp_path)!r}])\n"
+            "except SystemExit:\n    pass\n"
+            "print('importlib.metadata' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+    report = json.loads((tmp_path / "product-report.json").read_text())
+    assert report["versions"]["scipy"] == scipy.__version__
 
 
 def test_degenerate_draws_do_not_abort_sweep(tmp_path):
@@ -677,6 +722,7 @@ _COVERED = {
     "airy.airy_tridiagonal": lambda beta, h, N, noise: len(noise),
     "eig.tridiag_extreme_eig": lambda T, cfg, start: len(T.bands[0]),
     "eig.banded_largest_eig": lambda S, cfg=None, scale=None: len(S.bands[0]),
+    "ensemble.sample_bidiagonal": lambda params, streams: len(streams),
     "ensemble.laguerre_matrix": lambda factor: len(factor.diag),
     "product.product_similarity": lambda B_q, X_p: len(B_q.diag),
 }
@@ -789,8 +835,8 @@ def test_mean_potential_path_rejects_other_configs_before_sweeping(monkeypatch):
 def test_single_sweep_and_potential_path_draw_the_same_factors(monkeypatch):
     drawn = []
 
-    def recording(params, stream):
-        drawn.append(sample_bidiagonal(params, stream))
+    def recording(params, streams):
+        drawn.append(sample_bidiagonal(params, streams))
         return drawn[-1]
 
     monkeypatch.setattr(harness, "sample_bidiagonal", recording)
@@ -799,9 +845,11 @@ def test_single_sweep_and_potential_path_draw_the_same_factors(monkeypatch):
     solved = drawn.copy()
     drawn.clear()
     mean_potential_path(config)
-    assert len(solved) == len(drawn) == 5
+    # one stacked draw per block, the five replicates' factors as its rows
+    assert len(solved) == len(drawn) == 1
     for a, b in zip(solved, drawn):
         assert (a.n, a.kappa, a.beta) == (b.n, b.kappa, b.beta) == (6, 8, 0.7)
+        assert a.diag.shape == b.diag.shape == (5, 6)
         assert np.array_equal(a.diag, b.diag) and np.array_equal(a.subdiag, b.subdiag)
 
 

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lagprod.variates import chi, split_stream
+from lagprod.variates import chi, split_stream, streams
 
 
 def test_gaussian_moments():
@@ -77,6 +79,44 @@ def test_split_streams_differ_everywhere_for_distinct_index():
 def test_thousand_substreams_no_collision():
     firsts = {split_stream(7, k).standard_normal() for k in range(1000)}
     assert len(firsts) == 1000
+
+
+_EDGES = (0, 2**32 - 1, 2**32, 2**64 - 1)  # the ends of one and of two 32-bit words
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6))
+@example(0, list(_EDGES))
+@example(2**32 - 1, list(_EDGES))
+@example(2**32, list(_EDGES))
+@example(2**64 - 1, list(_EDGES))
+def test_streams_replay_numpys_seed_sequence_tape(seed, indices):
+    # the tape is numpy's: a failure here means numpy's SeedSequence hash or
+    # PCG64 seeding changed, and every sample CSV with it
+    for index, gen in zip(indices, streams(seed, indices)):
+        oracle = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
+        own = split_stream(seed, index)
+        assert gen.bit_generator.state == own.bit_generator.state == oracle.bit_generator.state, \
+            f"numpy's SeedSequence/PCG64 seeding changed at seed={seed}, index={index}"
+        first = oracle.standard_normal(3).tolist()
+        assert gen.standard_normal(3).tolist() == own.standard_normal(3).tolist() == first
+
+
+def test_streams_reuse_one_generator_and_count_their_indices():
+    drawn = streams(5, range(10, 13))
+    assert len(drawn) == 3
+    gens = list(drawn)
+    assert gens[0] is gens[1] is gens[2]  # valid until the next one is drawn
+    assert [g.standard_normal() for g in drawn] == [split_stream(5, r).standard_normal() for r in range(10, 13)]
+
+
+def test_streams_raise_what_split_stream_raises():
+    # test_seed_validation's cases: a bad seed raises at once, a bad index when iteration starts
+    for seed, index, error in [(-1, 0, ValueError), (2**64, 0, ValueError), (1.5, 0, TypeError),
+                               (0, -1, ValueError), (0, 2**64, ValueError), (0, 1.0, TypeError)]:
+        with pytest.raises(error):
+            list(streams(seed, [index]))
+    assert len(list(streams(2**64 - 1, [2**64 - 1]))) == 1
 
 
 def test_seed_validation():
