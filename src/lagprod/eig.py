@@ -43,6 +43,10 @@ import numpy as np
 from .ensemble import SymmetricBanded
 
 
+# scipy's package directory, found without importing scipy
+SCIPY_DIR = importlib.util.find_spec("scipy").submodule_search_locations[0]
+
+
 def _flapack():
     """scipy's compiled LAPACK module, ``scipy.linalg._flapack``, loaded from its file.
 
@@ -54,7 +58,7 @@ def _flapack():
     """
     name = "scipy.linalg._flapack"
     if name not in sys.modules:
-        linalg = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], "linalg")
+        linalg = os.path.join(SCIPY_DIR, "linalg")
         spec = FileFinder(linalg, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
         if spec is None:
             raise ImportError(f"no LAPACK extension {name} in {linalg}")

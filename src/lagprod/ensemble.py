@@ -21,6 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .variates import chi
+
 
 @dataclass(frozen=True)
 class EnsembleParams:
@@ -108,16 +110,15 @@ def sample_bidiagonal(params: EnsembleParams, streams) -> BidiagonalFactor:
 
     Tape discipline (tape 2): each generator fills its row with all n diagonal
     entries in order, then all n-1 subdiagonal entries, in one vectorized
-    draw of the chi variates :func:`lagprod.variates.chi` draws.  The entries
-    are independent, so the order does not affect the law.
+    :func:`lagprod.variates.chi` draw.  The entries are independent, so the
+    order does not affect the law.
     """
     n, kappa, beta = params.n, params.kappa, params.beta
-    half = 0.5 * _chi_params(n, kappa, beta)
+    alpha = _chi_params(n, kappa, beta)
     single = isinstance(streams, np.random.Generator)
     x = np.empty((1 if single else len(streams), 2 * n - 1))
     for row, stream in zip(x, [streams] if single else streams):
-        stream.standard_gamma(half, out=row)
-    np.sqrt(np.multiply(x, 2.0, out=x), out=x)
+        chi(stream, alpha, out=row)
     x = x[0] if single else x
     return BidiagonalFactor(n=n, kappa=kappa, beta=beta, diag=x[..., :n], subdiag=x[..., n:])
 

@@ -78,7 +78,7 @@ from pathlib import Path
 import numpy as np
 
 from .airy import DEFAULT_CUTOFF, DEFAULT_MESH, AiryDiscretization, sample_tw
-from .eig import EigConfig, banded_largest_eig
+from .eig import SCIPY_DIR, EigConfig, banded_largest_eig
 from .ensemble import EnsembleParams, laguerre_matrix, potential_path, sample_bidiagonal
 from .product import product_similarity
 from .scaling import (ScalingConstants, closed_form_Cn, closed_form_cn, coupled_scaling,
@@ -113,9 +113,8 @@ MODES = {"product": {"n": None, "p": None, "q": None}, "single": {"n": None, "p"
 def versions() -> dict:
     """The numeric stack of every report: scipy's version from its ``version.py``, without
     importing scipy, and numba's from package metadata, imported only when numba is installed."""
-    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
     scipy_version: dict = {}
-    exec(Path(scipy_dir, "version.py").read_text(encoding="utf-8"), scipy_version)
+    exec(Path(SCIPY_DIR, "version.py").read_text(encoding="utf-8"), scipy_version)
     numba = "absent"
     if importlib.util.find_spec("numba"):
         from importlib.metadata import version

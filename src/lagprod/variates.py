@@ -7,10 +7,10 @@ unrelated streams, and the tape a stream produces is a pure function of
 ``(seed, index, draw count)``: replicates drawing from their own indices
 reproduce bit-identically on any number of workers.
 
-That tape is unchanged, but no SeedSequence is built for it: :func:`_state`
-computes the PCG64 state from SeedSequence's mix (the seed's share cached)
-and PCG64's seeding step, and :func:`streams` hands back one reused
-generator, valid until the next one is drawn.
+That tape is unchanged, but no SeedSequence is built for it:
+:func:`_seed_words` computes SeedSequence's output words directly (the
+seed's share of the mix cached per seed), and PCG64 seeds itself from them.
+Each stream is a generator of its own.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 TAPE = 2
 
 _MAX_UINT64 = 2**64 - 1
-_M32, _M128 = 2**32 - 1, 2**128 - 1
+_M32 = 2**32 - 1
 # SeedSequence's hash constants: the k-th hash of its mix xors a word with _MIX[k] and
 # multiplies by _MIX[k + 1], and its i-th output word likewise with _OUT[i], _OUT[i + 1]
 _MIX = [0x43B0D7E5 * pow(0x931E8875, k, 2**32) & _M32 for k in range(25)]
@@ -33,7 +33,6 @@ _OUT = [0x8B51F9DD * pow(0x58F38DED, i, 2**32) & _M32 for i in range(9)]
 # (pool word, constants) of the spawn key's hashes, four per key word, and of the output words
 _KEY_HASHES = [[(d, _MIX[k], _MIX[k + 1]) for d, k in enumerate(range(j, j + 4))] for j in (16, 20)]
 _OUT_HASHES = [(i & 3, _OUT[i], _OUT[i + 1]) for i in range(8)]
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
 
 
 def _hash(word: int, x: int, y: int) -> int:
@@ -46,14 +45,6 @@ def _mix(x: int, y: int) -> int:
     return m ^ m >> 16
 
 
-def _checked(value, name: str) -> int:
-    if not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
-    if not 0 <= int(value) <= _MAX_UINT64:
-        raise ValueError(f"{name} must fit in an unsigned 64-bit integer, got {value}")
-    return int(value)
-
-
 @lru_cache(maxsize=64)
 def _seed_pool(seed: int) -> tuple[int, ...]:
     """SeedSequence's pool once the seed's words, zero-padded to four, are hashed in and mixed."""
@@ -63,36 +54,24 @@ def _seed_pool(seed: int) -> tuple[int, ...]:
     return tuple(pool)
 
 
-def _state(seed: int, index: int) -> dict:
-    """The state of ``PCG64(SeedSequence(seed, spawn_key=(index,)))``, as ``.state`` takes it."""
+def _seed_words(seed: int, index: int) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(index,)).generate_state(4, np.uint64)``."""
     pool = list(_seed_pool(seed))
     for w, hashes in zip((index & _M32, index >> 32) if index > _M32 else (index,), _KEY_HASHES):
         for d, x, y in hashes:
             pool[d] = _mix(pool[d], _hash(w, x, y))
-    # eight output words, paired low first; PCG64 seeds its LCG with the first two
-    # 64-bit words as initial state and the last two as sequence
-    u = [_hash(pool[d], x, y) for d, x, y in _OUT_HASHES]
-    inc = ((u[5] << 32 | u[4]) << 65 | u[7] << 33 | u[6] << 1 | 1) & _M128
-    state = ((inc + ((u[1] << 32 | u[0]) << 64 | u[3] << 32 | u[2])) * _PCG_MULT + inc) & _M128
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+    u = [_hash(pool[d], x, y) for d, x, y in _OUT_HASHES]  # paired into 64-bit words, low first
+    return np.array([u[1] << 32 | u[0], u[3] << 32 | u[2], u[5] << 32 | u[4], u[7] << 32 | u[6]], np.uint64)
 
 
-class streams:
-    """Streams ``(seed, index)`` for each of ``indices``, in order, each set in turn on one
-    reused generator: the one handed back is valid until the next is drawn."""
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """The four 64-bit words ``PCG64`` asks its seed sequence for, computed beforehand."""
 
-    _gen = np.random.Generator(np.random.PCG64(0))
+    def __init__(self, words: np.ndarray):
+        self.words = words
 
-    def __init__(self, seed: int, indices):
-        self.seed, self.indices = _checked(seed, "seed"), indices
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __iter__(self):
-        for index in self.indices:
-            self._gen.bit_generator.state = _state(self.seed, _checked(index, "stream index"))
-            yield self._gen
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 def split_stream(seed: int, index: int) -> np.random.Generator:
@@ -101,17 +80,27 @@ def split_stream(seed: int, index: int) -> np.random.Generator:
     Distinct indices give streams with no shared prefix; identical
     (seed, index) pairs replay the identical tape on any platform.
     """
-    gen = np.random.Generator(np.random.PCG64(0))
-    gen.bit_generator.state = _state(_checked(seed, "seed"), _checked(index, "stream index"))
-    return gen
+    for value, name in ((seed, "seed"), (index, "stream index")):
+        if not isinstance(value, (int, np.integer)):
+            raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+        if not 0 <= int(value) <= _MAX_UINT64:
+            raise ValueError(f"{name} must fit in an unsigned 64-bit integer, got {value}")
+    return np.random.Generator(np.random.PCG64(_SeedWords(_seed_words(int(seed), int(index)))))
 
 
-def chi(gen: np.random.Generator, alpha):
-    """Chi variates in the convention E[chi_alpha^2] = alpha, one per entry of ``alpha``.
+def streams(seed: int, indices) -> list[np.random.Generator]:
+    """The streams ``(seed, index)`` for each of ``indices``, in order."""
+    return [split_stream(seed, index) for index in indices]
+
+
+def chi(gen: np.random.Generator, alpha, out: np.ndarray | None = None):
+    """Chi variates in the convention E[chi_alpha^2] = alpha, one per entry of ``alpha``,
+    written into ``out`` when it is given.
 
     Sampled as sqrt of a gamma variate with shape alpha/2 and scale 2
     (correct for all alpha > 0 including shape < 1).  alpha = 0 denotes the
     degenerate variate identically zero and consumes no tape.  A negative
     alpha (-0.0 included) raises ValueError, from ``standard_gamma``'s own check.
     """
-    return np.sqrt(2.0 * gen.standard_gamma(0.5 * np.asarray(alpha, dtype=float)))
+    gamma = gen.standard_gamma(0.5 * np.asarray(alpha, dtype=float), out=out)
+    return np.sqrt(np.multiply(gamma, 2.0, out=out), out=out)

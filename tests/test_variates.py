@@ -102,16 +102,18 @@ def test_streams_replay_numpys_seed_sequence_tape(seed, indices):
         assert gen.standard_normal(3).tolist() == own.standard_normal(3).tolist() == first
 
 
-def test_streams_reuse_one_generator_and_count_their_indices():
-    drawn = streams(5, range(10, 13))
-    assert len(drawn) == 3
-    gens = list(drawn)
-    assert gens[0] is gens[1] is gens[2]  # valid until the next one is drawn
-    assert [g.standard_normal() for g in drawn] == [split_stream(5, r).standard_normal() for r in range(10, 13)]
+def test_streams_are_generators_of_their_own():
+    # each stream keeps its own tape: held together, zipped or drawn out of order
+    drawn, again = streams(5, range(10, 13)), streams(5, range(10, 13))
+    assert len(drawn) == 3 and len({id(g) for g in drawn + again}) == 6
+    oracle = [split_stream(5, r).standard_normal(2).tolist() for r in range(10, 13)]
+    firsts = [g.standard_normal() for g in reversed(drawn)][::-1]
+    assert [[a, g.standard_normal()] for a, g in zip(firsts, drawn)] == oracle
+    assert [g.standard_normal(2).tolist() for g in again] == oracle
 
 
 def test_streams_raise_what_split_stream_raises():
-    # test_seed_validation's cases: a bad seed raises at once, a bad index when iteration starts
+    # test_seed_validation's cases
     for seed, index, error in [(-1, 0, ValueError), (2**64, 0, ValueError), (1.5, 0, TypeError),
                                (0, -1, ValueError), (0, 2**64, ValueError), (0, 1.0, TypeError)]:
         with pytest.raises(error):
