@@ -58,10 +58,8 @@ class AiryDiscretization:
             raise ValueError(f"mesh step must lie in (0, 0.1], got {self.h}")
         if not math.isfinite(self.L):
             raise ValueError(f"domain cutoff must be finite, got {self.L}")
-        if self.L < 8:
+        if self.L < 8:  # with h <= 0.1, at least 80 mesh points
             raise ValueError(f"domain cutoff must be >= 8, got {self.L}")
-        if self.N < 80:
-            raise ValueError(f"need at least 80 mesh points, got {self.N}")
 
     @property
     def N(self) -> int:
@@ -101,46 +99,38 @@ def _ground_state(h: float, N: int) -> np.ndarray:
 
 
 def airy_tridiagonal(beta: float, h: float, N: int, noise: np.ndarray) -> SymmetricBanded:
-    """Discretized operator matrix for the given per-cell noise realization.
+    """Stack of discretized operator matrices for per-cell noise of shape (B, N).
 
-    ``noise`` of shape (N,) gives one matrix; (B, N) gives a stack of B, whose
-    rows share one read-only off-diagonal.
+    Its B matrices share one read-only off-diagonal.
     """
     diag, offdiag = _noiseless_bands(h, N)
-    if np.ndim(noise) > 1:
-        offdiag = np.broadcast_to(offdiag, (len(noise), N - 1))
+    offdiag = np.broadcast_to(offdiag, (len(noise), N - 1))
     return SymmetricBanded((diag + (2.0 / math.sqrt(beta)) * noise / math.sqrt(h), offdiag))
 
 
 def cell_noise(disc: AiryDiscretization, streams) -> np.ndarray:
     """Per-cell unit normals from each stream's micro-mesh Brownian tape.
 
-    ``streams`` is one generator, giving shape (N,), or a sequence of B
-    generators, giving (B, N), row b drawn from stream b alone.  Cell k
-    aggregates micro-increments mc*(k-1)..mc*k-1 of the tape, where
-    mc = :attr:`AiryDiscretization.mc`; the normalized sums are exactly
-    i.i.d. standard normal for any h.
+    ``streams`` is a sequence of B generators; the result has shape (B, N),
+    row b drawn from stream b alone.  Cell k aggregates micro-increments
+    mc*(k-1)..mc*k-1 of the tape, where mc = :attr:`AiryDiscretization.mc`;
+    the normalized sums are exactly i.i.d. standard normal for any h.
     """
     mc = disc.mc
-    single = isinstance(streams, np.random.Generator)
-    if single:
-        streams = [streams]
     micro = np.empty((len(streams), disc.N * mc))
     for row, stream in zip(micro, streams):
         stream.standard_normal(out=row)
-    noise = micro.reshape(len(streams), disc.N, mc).sum(axis=-1) / math.sqrt(mc)
-    return noise[0] if single else noise
+    return micro.reshape(len(streams), disc.N, mc).sum(axis=-1) / math.sqrt(mc)
 
 
-def sample_tw(disc: AiryDiscretization, streams, cfg: EigConfig | None = None):
+def sample_tw(disc: AiryDiscretization, streams, cfg: EigConfig) -> np.ndarray:
     """Tracy-Widom(beta) samples: minus the smallest eigenvalue of A.
 
-    One sample (a float) from one generator, or an array of B samples from a
-    sequence of B generators, sample b a pure function of (disc, the state
-    of stream b).  The smallest eigenvalue is found by LAPACK bisection
-    (dstebz), within rel_tol * D / 2 of the true one, over a window
-    certified from the noiseless ground state (nan if the window holds no
-    eigenvalue).
+    An array of B samples from a sequence of B generators, sample b a pure
+    function of (disc, the state of stream b).  The smallest eigenvalue is
+    found by LAPACK bisection (dstebz), within rel_tol * D / 2 of the true
+    one, over a window certified from the noiseless ground state (nan if
+    the window holds no eigenvalue).
     """
     A = airy_tridiagonal(disc.beta, disc.h, disc.N, cell_noise(disc, streams))
     return -tridiag_extreme_eig(A, cfg, _ground_state(disc.h, disc.N))

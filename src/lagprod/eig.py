@@ -7,8 +7,7 @@ dpbtrf) of xI - S succeeds.  The top eigenvector of either lives in its
 leading rows (the soft edge), a few grid scales m of its statistic, where
 row j sits at x = j / m.  So the solver first takes the top eigenvalue
 theta of the leading k x k block (LAPACK dsbevx), k = ceil(EDGE_ROWS * m)
-rows (see :func:`edge_block`; a bare matrix with no statistic takes the
-bound n^(1/3) on m), and certifies it with two factorizations at
+rows (see :func:`edge_block`), and certifies it with two factorizations at
 h = rel_tol * D / 2, with D the Gershgorin spectral diameter: the block of
 (theta - h)I - S must fail, and the full (theta + h)I - S must succeed.  If
 either test fails, k doubles; at k = n the solver bisects the Gershgorin
@@ -22,11 +21,11 @@ from a start vector near the ground state.  dstebz stops once its bracket
 is below rel_tol * D and returns the bracket's midpoint, so this value too
 lies within rel_tol * D / 2 of the true one: every solver has that bound.
 
-Either solver takes one matrix or a stack of them along a leading axis
-(see :class:`lagprod.ensemble.SymmetricBanded`).  The band arithmetic runs
-once per stack; the LAPACK calls run once per matrix, so each matrix gets
-the value it would get alone.  Either solver gives nan for a matrix with a
-non-finite entry, and only for that matrix.
+Either solver takes a stack of B matrices along a leading axis (see
+:class:`lagprod.ensemble.SymmetricBanded`) and returns B values.  The band
+arithmetic runs once per stack; the LAPACK calls run once per matrix, so
+each matrix gets the value it would get in a stack of one.  Either solver
+gives nan for a matrix with a non-finite entry, and only for that matrix.
 """
 
 from __future__ import annotations
@@ -113,35 +112,24 @@ def gershgorin_bounds(diag: np.ndarray, *offdiags: np.ndarray) -> tuple:
     return (diag - r).min(axis=-1), (diag + r).max(axis=-1)
 
 
-def edge_block(n: int, scale: float | None = None) -> int:
-    """Rows of the first leading block the edge solve of an n x n matrix takes.
+def edge_block(scale: float) -> int:
+    """Rows of the first leading block of the edge solve: ceil(EDGE_ROWS * scale).
 
-    That is ceil(EDGE_ROWS * scale): EDGE_ROWS grid scales of a statistic
-    read on the grid x = j / scale, as m_n for the product and m for a
-    single matrix.  With no statistic (``scale`` None) it is
-    ceil(EDGE_ROWS * n^(1/3)), as n^(1/3) bounds the grid scale of either.
+    That is EDGE_ROWS grid scales of a statistic read on the grid
+    x = j / scale, as m_n for the product and m for a single matrix.
     """
-    if scale is None:
-        scale = n ** (1 / 3)
-    elif not scale > 0:
+    if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
     return math.ceil(EDGE_ROWS * scale)
 
 
-def _stacked(S: SymmetricBanded) -> tuple[list[np.ndarray], bool]:
-    """The bands of S, one row per matrix, and whether S is one matrix (then a stack of one)."""
-    single = S.bands[0].ndim == 1
-    return [b[None] if single else b for b in S.bands], single
+def tridiag_extreme_eig(T: SymmetricBanded, cfg: EigConfig, start: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalues of a stack of tridiagonals T by LAPACK Sturm bisection (dstebz).
 
-
-def tridiag_extreme_eig(T: SymmetricBanded, cfg: EigConfig | None, start: np.ndarray):
-    """Smallest eigenvalue of the tridiagonal T by LAPACK Sturm bisection (dstebz).
-
-    T is one matrix, giving a float, or a stack of B matrices (bands of
-    shapes (B, n) and (B, n-1)), giving an array of shape (B,).  For each
-    matrix, dstebz bisects only the window of :func:`_ground_window`, built
-    from the unit vector ``start`` (shape (n,), shared by the stack), until
-    each bracket is narrower than rel_tol times the Gershgorin spectral
+    T's bands have shapes (B, n) and (B, n-1); the result has shape (B,).
+    For each matrix, dstebz bisects only the window of :func:`_ground_window`,
+    built from the unit vector ``start`` (shape (n,), shared by the stack),
+    until each bracket is narrower than rel_tol times the Gershgorin spectral
     diameter D of that matrix, and returns the midpoint of the lowest one:
     within rel_tol * D / 2 of the true eigenvalue.  It resolves every
     eigenvalue in the window, so pass a start near the ground state.  A
@@ -149,8 +137,7 @@ def tridiag_extreme_eig(T: SymmetricBanded, cfg: EigConfig | None, start: np.nda
     matrix alone.  Only the Airy sampler calls this; the name is the one
     ``benchmark/runner.py`` traces.
     """
-    cfg = cfg or EigConfig()
-    (diag, offdiag), single = _stacked(T)
+    diag, offdiag = T.bands
     lo, hi = gershgorin_bounds(diag, offdiag)
     # dstebz squares the off-diagonal; dividing each matrix by the power of
     # two just above max(-lo, hi) >= every |entry| (exact) keeps those
@@ -174,7 +161,7 @@ def tridiag_extreme_eig(T: SymmetricBanded, cfg: EigConfig | None, start: np.nda
                                       cfg.rel_tol * (hi_i - lo_i), "E")
         if count and info == 0:
             values[i] = s_i * float(w[0])
-    return values[0] if single else np.array(values)
+    return np.array(values)
 
 
 def _ground_window(
@@ -199,18 +186,16 @@ def _ground_window(
     return lo - margin, min(rho, sigma) + margin
 
 
-def banded_largest_eig(S: SymmetricBanded, cfg: EigConfig | None = None, scale: float | None = None):
-    """Largest eigenvalue of a symmetric band matrix of any bandwidth kd.
+def banded_largest_eig(S: SymmetricBanded, cfg: EigConfig, scale: float) -> np.ndarray:
+    """Largest eigenvalues of a stack of symmetric band matrices of any bandwidth kd.
 
-    S is one matrix, giving a float, or a stack of B matrices (band k of
-    shape (B, n-k)), giving an array of shape (B,), each matrix solved on
-    its own by the LAPACK calls below in one band workspace.  ``scale`` is
-    the grid scale of the statistic S carries, in rows per unit of x (m_n
-    for a product, m for a single matrix); None, for a bare matrix, takes
-    its bound n^(1/3).  With [lo, hi] the Gershgorin interval of a matrix S
-    and h = rel_tol * (hi - lo) / 2, the edge solve takes the top eigenvalue
-    theta of the leading k x k block S_k, starting at
-    k = edge_block(n, scale) = ceil(EDGE_ROWS * scale), and returns it once
+    S's band k has shape (B, n-k); the result has shape (B,), each matrix
+    solved on its own by the LAPACK calls below in one band workspace.
+    ``scale`` is the grid scale of the statistic S carries, in rows per unit
+    of x (m_n for a product, m for a single matrix).  With [lo, hi] the
+    Gershgorin interval of a matrix S and h = rel_tol * (hi - lo) / 2, the
+    edge solve takes the top eigenvalue theta of the leading k x k block
+    S_k, starting at k = edge_block(scale), and returns it once
     (theta - h)I - S_k fails to factor (so lambda_max(S) >= lambda_max(S_k) >=
     theta - h, by interlacing) and (theta + h)I - S factors (so
     lambda_max(S) < theta + h); otherwise k doubles.  Once k >= n, or when h
@@ -221,17 +206,15 @@ def banded_largest_eig(S: SymmetricBanded, cfg: EigConfig | None = None, scale: 
     stable, so the certificate holds up to rounding of order
     n * eps * ||S||_1.  A non-finite entry gives nan for that matrix alone.
     """
-    cfg = cfg or EigConfig()
-    bands, single = _stacked(S)
-    lo, hi = gershgorin_bounds(*bands)
+    lo, hi = gershgorin_bounds(*S.bands)
     # minus the off-diagonals, as they sit in the lower band storage of xI - S
-    negated = [-band for band in bands[1:]]
+    negated = [-band for band in S.bands[1:]]
     # that storage for one matrix at a time: row 0 diagonal, rows 1..kd
     # sub-diagonals; its first k columns hold the leading k x k block, which
     # Fortran order keeps contiguous, so LAPACK gets it without a transposing copy
     n = S.n
-    k = edge_block(n, scale)
-    ab = np.zeros((len(bands), n), order="F")
+    k = edge_block(scale)
+    ab = np.zeros((len(S.bands), n), order="F")
     values = []
     for i, (lo_i, hi_i) in enumerate(zip(lo.tolist(), hi.tolist())):
         if not math.isfinite(hi_i - lo_i):  # a non-finite entry
@@ -239,8 +222,8 @@ def banded_largest_eig(S: SymmetricBanded, cfg: EigConfig | None = None, scale: 
             continue
         for off, band in enumerate(negated, start=1):
             ab[off, : band.shape[1]] = band[i]
-        values.append(_edge_solve(ab, bands[0][i], lo_i, hi_i, cfg.rel_tol, k))
-    return values[0] if single else np.array(values)
+        values.append(_edge_solve(ab, S.bands[0][i], lo_i, hi_i, cfg.rel_tol, k))
+    return np.array(values)
 
 
 def _edge_solve(ab: np.ndarray, diag: np.ndarray, lo: float, hi: float, rel_tol: float, k: int) -> float:

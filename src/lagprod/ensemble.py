@@ -12,6 +12,8 @@ Factors and band matrices stack along a leading axis: a factor's entries,
 and each band, are either 1-D (one matrix) or 2-D with one row per matrix,
 and every function here works row by row with the same floating-point
 operations, so a row's values do not depend on the rest of its stack.
+The solvers of :mod:`lagprod.eig` take only stacks; the one-matrix forms
+serve the benchmark's dense-oracle gate, which rebuilds single replicates.
 """
 
 from __future__ import annotations
@@ -64,7 +66,8 @@ class SymmetricBanded:
     """Symmetric band matrix stored as its main diagonal, then off-diagonals 1..kd.
 
     Band k has shape (n-k,) for one matrix, or (B, n-k) for a stack of B
-    matrices, one per row.  :meth:`dense` and :meth:`one_norm` take one matrix.
+    matrices, one per row.  The solvers take a stack; :meth:`dense` and
+    :meth:`one_norm` take one matrix, for the benchmark's dense-oracle gate.
     """
 
     bands: tuple[np.ndarray, ...]

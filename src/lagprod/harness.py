@@ -128,6 +128,14 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (maps to CLI exit code 2)."""
 
 
+def _read_text(path: Path | str) -> str:
+    """The text of an input file, which must be readable and UTF-8; else a ConfigError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read as UTF-8 text ({exc})") from exc
+
+
 def _out_dir(out: Path | str) -> Path:
     """``out`` as a path, refused when it names an existing file or lies under one."""
     if not next(p for p in (Path(out), *Path(out).parents) if p.exists()).is_dir():
@@ -201,7 +209,7 @@ def load_config_file(path: Path | str) -> dict:
     is a hard error, and so is a setting the mode does not take (when the config is built).
     """
     out: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -405,7 +413,7 @@ def read_batch_csv(path: Path | str) -> dict:
     params: dict = {}
     rows: list[float] = []
     in_rows = False
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         if line.startswith("# "):

@@ -25,6 +25,16 @@ def dense_bidiagonal(B: BidiagonalFactor) -> np.ndarray:
     return A
 
 
+def stack(matrices) -> SymmetricBanded:
+    """One SymmetricBanded stacking the given matrices' bands along a leading axis."""
+    return SymmetricBanded(tuple(np.array(bands) for bands in zip(*(S.bands for S in matrices))))
+
+
+def row(S: SymmetricBanded, i: int = 0) -> SymmetricBanded:
+    """Matrix i of the stack S, as one matrix."""
+    return SymmetricBanded(tuple(band[i] for band in S.bands))
+
+
 def dense_tridiagonal(T: SymmetricBanded) -> np.ndarray:
     """The symmetric tridiagonal T as a dense n x n array."""
     diag, offdiag = T.bands

@@ -21,7 +21,7 @@ from lagprod.product import product_similarity
 from lagprod.scaling import closed_form_cn, coupled_scaling, single_scaling
 from lagprod.stats import ks_two_sample
 from lagprod.variates import chi, split_stream
-from oracles import dense_product_eigs, dense_tridiagonal
+from oracles import dense_product_eigs, dense_tridiagonal, stack
 
 GRID27 = [(n, n + dp, n + dp + dq) for n in (2, 16, 300) for dp in (0, 3, 40) for dq in (0, 5, 100)]
 
@@ -176,7 +176,7 @@ def test_criterion_6_airy_self_consistency(tw2_default_batch):
     def noiseless(h):
         N = int(round(12.0 / h))
         A = SymmetricBanded(airy._noiseless_bands(h, N))
-        return tridiag_extreme_eig(A, EigConfig(rel_tol=1e-12), airy._ground_state(h, N))
+        return tridiag_extreme_eig(stack([A]), EigConfig(rel_tol=1e-12), airy._ground_state(h, N))[0]
 
     lam_01, lam_005 = noiseless(0.01), noiseless(0.005)
     limit = lam_005 + (lam_005 - lam_01) / 3.0

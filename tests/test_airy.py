@@ -10,7 +10,7 @@ from lagprod.eig import EPS, EigConfig, gershgorin_bounds, tridiag_extreme_eig
 from lagprod.ensemble import SymmetricBanded
 from lagprod.harness import ExperimentConfig, sweep
 from lagprod.variates import split_stream
-from oracles import airy_ground_state, allowed_error, dense_tridiagonal
+from oracles import airy_ground_state, allowed_error, dense_tridiagonal, row, stack
 
 # first zero of the Airy function; ground state of -d^2/dx^2 + x on [0, inf)
 AIRY_GROUND = 2.33810741045977
@@ -24,14 +24,14 @@ def _tw_rows(beta, M, seed, **disc):
 def _noiseless_ground(h, L, rel_tol=1e-12):
     N = int(round(L / h))
     A = SymmetricBanded(airy._noiseless_bands(h, N))
-    return tridiag_extreme_eig(A, EigConfig(rel_tol=rel_tol), airy._ground_state(h, N))
+    return tridiag_extreme_eig(stack([A]), EigConfig(rel_tol=rel_tol), airy._ground_state(h, N))[0]
 
 
 def test_two_by_two_hand_case():
     # h = 1, N = 2, noiseless: [[3, -1], [-1, 4]], smallest eigenvalue (7 - sqrt 5)/2
     A = SymmetricBanded(airy._noiseless_bands(1.0, 2))
     assert [band.tolist() for band in A.bands] == [[3.0, 4.0], [-1.0]]
-    lam = tridiag_extreme_eig(A, EigConfig(rel_tol=1e-12), airy._ground_state(1.0, 2))
+    lam = tridiag_extreme_eig(stack([A]), EigConfig(rel_tol=1e-12), airy._ground_state(1.0, 2))[0]
     assert lam == pytest.approx((7.0 - math.sqrt(5.0)) / 2.0, abs=1e-10)
 
 
@@ -61,14 +61,14 @@ def test_noiseless_sample_decreases_toward_limit():
 
 def test_sample_determinism():
     disc = AiryDiscretization(beta=2.0)
-    a = sample_tw(disc, split_stream(5, 3))
-    b = sample_tw(disc, split_stream(5, 3))
-    assert a == b
+    a = sample_tw(disc, [split_stream(5, 3)], EigConfig())
+    b = sample_tw(disc, [split_stream(5, 3)], EigConfig())
+    assert a.shape == (1,) and a == b
 
 
 def test_cell_noise_is_unit_normal_per_cell():
     disc = AiryDiscretization(beta=1.0, h=0.04, L=8.0)
-    draws = np.concatenate([cell_noise(disc, split_stream(77, r)) for r in range(200)])
+    draws = np.concatenate([cell_noise(disc, [split_stream(77, r)])[0] for r in range(200)])
     assert abs(draws.mean()) < 5.0 / math.sqrt(draws.size)
     assert abs(draws.var(ddof=1) - 1.0) < 0.02
 
@@ -78,15 +78,15 @@ def test_mesh_refinement_shares_brownian_tape():
     # the scaled sum of the two fine half-cells
     coarse = AiryDiscretization(beta=2.0, h=0.04, L=8.0)
     fine = AiryDiscretization(beta=2.0, h=0.02, L=8.0)
-    g_coarse = cell_noise(coarse, split_stream(12, 0))
-    g_fine = cell_noise(fine, split_stream(12, 0))
+    g_coarse = cell_noise(coarse, [split_stream(12, 0)])[0]
+    g_fine = cell_noise(fine, [split_stream(12, 0)])[0]
     rebuilt = (g_fine[0::2] + g_fine[1::2]) / math.sqrt(2.0)
     assert np.allclose(g_coarse, rebuilt, atol=1e-12)
 
 
 def test_cell_noise_tape_golden():
     # the Airy sampler's normal tape is the same under RNG tapes 1 and 2
-    g = cell_noise(AiryDiscretization(beta=2.0), split_stream(13015918, 0))
+    g = cell_noise(AiryDiscretization(beta=2.0), [split_stream(13015918, 0)])[0]
     assert g[:4].tolist() == [
         0.5364025547181924, -0.4079509992096393, 0.7995843268358135, 0.09634020616990857
     ]
@@ -114,9 +114,9 @@ def test_sample_tw_golden(h, L, golden):
     disc = AiryDiscretization(beta=2.0, h=h, L=L)
     cfg = EigConfig()
     for r, (value, exact) in enumerate(golden):
-        A = airy_tridiagonal(disc.beta, disc.h, disc.N, cell_noise(disc, split_stream(29, r)))
-        assert sample_tw(disc, split_stream(29, r)) == exact
-        assert abs(exact - value) <= allowed_error(dense_tridiagonal(A), 2 * cfg.rel_tol)
+        A = airy_tridiagonal(disc.beta, disc.h, disc.N, cell_noise(disc, [split_stream(29, r)]))
+        assert sample_tw(disc, [split_stream(29, r)], cfg)[0] == exact
+        assert abs(exact - value) <= allowed_error(dense_tridiagonal(row(A)), 2 * cfg.rel_tol)
 
 
 @pytest.mark.parametrize("h", [0.1, 0.05, 0.02])
@@ -129,13 +129,13 @@ def test_windowed_sample_within_solver_bound_of_index_solve(beta, h):
     start = airy._ground_state(h, disc.N)
     cfg = EigConfig()
     for r in range(500):
-        A = airy_tridiagonal(beta, h, disc.N, cell_noise(disc, split_stream(71, r)))
+        A = row(airy_tridiagonal(beta, h, disc.N, cell_noise(disc, [split_stream(71, r)])))
         lo, hi = gershgorin_bounds(*A.bands)
         bound = cfg.rel_tol * (hi - lo) / 2 + 4 * disc.N * EPS * max(-lo, hi)
-        windowed = tridiag_extreme_eig(A, cfg, start)
+        windowed = tridiag_extreme_eig(stack([A]), cfg, start)[0]
         reference = eigvalsh_tridiagonal(*A.bands, select="i", select_range=(0, 0))[0]
         assert abs(windowed - reference) <= bound
-        assert sample_tw(disc, split_stream(71, r)) == -windowed
+        assert sample_tw(disc, [split_stream(71, r)], cfg)[0] == -windowed
 
 
 @pytest.fixture
@@ -173,29 +173,32 @@ def test_default_mesh_sweep_solves_every_replicate_in_its_window(mesh, beta, tri
 
 
 def test_window_without_an_eigenvalue_gives_nan(tridiagonal_calls, capfd):
-    A = airy_tridiagonal(2.0, 0.1, 80, cell_noise(AiryDiscretization(beta=2.0, h=0.1, L=8.0), split_stream(2, 0)))
+    noise = cell_noise(AiryDiscretization(beta=2.0, h=0.1, L=8.0), [split_stream(2, 0)])
+    A = airy_tridiagonal(2.0, 0.1, 80, noise)
     start = airy._ground_state(0.1, 80)
     # a nan start gives an empty window, which never reaches dstebz
-    assert math.isnan(tridiag_extreme_eig(A, EigConfig(), np.full(80, np.nan)))
+    assert math.isnan(tridiag_extreme_eig(A, EigConfig(), np.full(80, np.nan))[0])
     assert tridiagonal_calls["dstebz"] == []
     # half a unit vector: its Rayleigh quotient, a quarter of one, lies below
     # lambda_min > 0, so the window holds no eigenvalue
-    assert math.isnan(tridiag_extreme_eig(A, EigConfig(), 0.5 * start))
+    assert math.isnan(tridiag_extreme_eig(A, EigConfig(), 0.5 * start)[0])
     assert tridiagonal_calls["dstebz"] == [1]
     # a non-finite entry is caught before any factorization
-    noise = np.zeros(80)
-    noise[40] = np.inf
-    assert math.isnan(tridiag_extreme_eig(airy_tridiagonal(2.0, 0.1, 80, noise), EigConfig(), start))
+    noise = np.zeros((1, 80))
+    noise[0, 40] = np.inf
+    assert math.isnan(tridiag_extreme_eig(airy_tridiagonal(2.0, 0.1, 80, noise), EigConfig(), start)[0])
     assert tridiagonal_calls == {"dstebz": [1], "dpttrf": [80, 80]}
     assert capfd.readouterr() == ("", "")
 
 
 def test_memoized_bands_are_read_only():
-    noise = cell_noise(AiryDiscretization(beta=2.0, h=0.1, L=8.0), split_stream(1, 0))
+    noise = cell_noise(AiryDiscretization(beta=2.0, h=0.1, L=8.0), [split_stream(1, 0)])
     A = airy_tridiagonal(2.0, 0.1, 80, noise)
     diag, offdiag = airy._noiseless_bands(0.1, 80)
     assert not diag.flags.writeable and not offdiag.flags.writeable
-    assert A.bands[1] is offdiag
+    # every row reads the one memoized off-diagonal, through a read-only view
+    assert A.bands[1].strides[0] == 0 and not A.bands[1].flags.writeable
+    assert np.shares_memory(A.bands[1], offdiag) and np.array_equal(A.bands[1][0], offdiag)
     assert A.bands[0].flags.writeable and not np.shares_memory(A.bands[0], diag)
     with pytest.raises(ValueError):
         diag[0] = 0.0
@@ -204,8 +207,9 @@ def test_memoized_bands_are_read_only():
 def test_batch_single_element_matches_sample():
     rows = _tw_rows(2.0, 6, 5)
     disc = AiryDiscretization(beta=2.0)
+    # row r of one stack of six equals the value of a stack of one
     for r in (0, 1, 5):
-        assert rows[r] == sample_tw(disc, split_stream(5, r))
+        assert rows[r] == sample_tw(disc, [split_stream(5, r)], EigConfig())[0]
 
 
 def test_tw2_moments_default_discretization():

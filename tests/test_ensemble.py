@@ -13,7 +13,7 @@ from lagprod.ensemble import (
 from lagprod.harness import ExperimentConfig, mean_potential_path
 from lagprod.scaling import single_scaling
 from lagprod.variates import chi, split_stream, streams
-from oracles import chi_mean, dense_bidiagonal, dense_tridiagonal
+from oracles import chi_mean, dense_bidiagonal, dense_tridiagonal, stack
 
 
 def test_params_validation():
@@ -140,7 +140,8 @@ def test_ensemble_psd_sturm_invariant():
         lo, hi = gershgorin_bounds(*X.bands)
         # lambda_min(X) = -lambda_max(-X), within the solver certificate
         minus_X = SymmetricBanded(tuple(-band for band in X.bands))
-        assert -banded_largest_eig(minus_X) >= -EigConfig().rel_tol * (hi - lo) / 2
+        lam = banded_largest_eig(stack([minus_X]), EigConfig(), single_scaling(n, kappa).m)[0]
+        assert -lam >= -EigConfig().rel_tol * (hi - lo) / 2
 
 
 def test_single_matrix_strong_law():
@@ -149,7 +150,7 @@ def test_single_matrix_strong_law():
     ratios = []
     for r in range(200):
         factor = sample_bidiagonal(EnsembleParams(n=n, kappa=n, beta=1.0), split_stream(707, r))
-        lam = banded_largest_eig(laguerre_matrix(factor))
+        lam = banded_largest_eig(stack([laguerre_matrix(factor)]), EigConfig(), single_scaling(n, n).m)[0]
         ratios.append(lam / (2.0 * np.sqrt(n)) ** 2)
     assert 0.9 < np.mean(ratios) < 1.02
 

@@ -42,6 +42,7 @@ from lagprod.product import product_similarity
 from lagprod.scaling import coupled_scaling, product_statistic
 from lagprod.stats import moments
 from lagprod.variates import split_stream
+from oracles import stack
 
 # for subprocesses that import the package from this checkout
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -67,7 +68,7 @@ def test_composition_consistency_single_replicate(tmp_path):
     B_q = sample_bidiagonal(EnsembleParams(n=n, kappa=n, beta=2.0), stream_q)
     S = product_similarity(B_q, laguerre_matrix(B_p))
     sc = coupled_scaling(n, n, n, 2.0)
-    lam = banded_largest_eig(S, EigConfig(), sc.m_n)
+    lam = banded_largest_eig(stack([S]), EigConfig(), sc.m_n)[0]
     expected = product_statistic(lam, sc)
     assert read_batch_csv(report["artifacts"]["samples_csv"]["path"])["values"][0] == expected
 
@@ -236,6 +237,24 @@ def test_out_naming_a_file_is_a_config_error(tmp_path):
         assert res.exit_code == 2, (args, res.output)
         assert res.output.startswith("config error:"), (args, res.output)
     assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def test_unreadable_input_file_is_a_config_error(tmp_path):
+    # bytes that are not UTF-8, or a directory, named as a sample CSV or as a config
+    # file: each exits 2 with a config error naming the path, and writes nothing
+    garbage = tmp_path / "garbage.bin"
+    garbage.write_bytes(bytes(range(256)))
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    out = tmp_path / "out"
+    before = sorted(tmp_path.rglob("*"))
+    for path in (garbage, folder):
+        for args in (["compare", str(path), str(path)],
+                     ["sample-tw", "--mesh", "0.1", "--cutoff", "8", "--reps", "2", "--config", str(path)]):
+            res = CliRunner().invoke(cli_main, [*args, "--out", str(out)])
+            assert res.exit_code == 2, (args, res.output)
+            assert res.output.startswith(f"config error: {path}: "), (args, res.output)
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_compare_self_is_zero(tmp_path):
@@ -784,7 +803,7 @@ def test_single_mode_statistic(tmp_path):
     s = single_scaling(8, 10)
     stream = split_stream(21, 2)
     B = sample_bidiagonal(EnsembleParams(n=8, kappa=10, beta=2.0), stream)
-    lam = banded_largest_eig(laguerre_matrix(B), scale=s.m)
+    lam = banded_largest_eig(stack([laguerre_matrix(B)]), EigConfig(), s.m)[0]
     assert read_batch_csv(report["artifacts"]["samples_csv"]["path"])["values"][2] == (lam - s.mu) / s.sigma
 
 

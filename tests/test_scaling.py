@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ai_zeros
 
+from lagprod.harness import ExperimentConfig, sweep
 from lagprod.scaling import (
     closed_form_Cn,
     closed_form_cn,
@@ -11,6 +12,7 @@ from lagprod.scaling import (
     product_statistic,
     single_scaling,
 )
+from lagprod.stats import moments
 from oracles import airy_quartic_moment, linear_response
 
 GRID = [(n, n + dp, n + dp + dq) for n in (2, 16, 300) for dp in (0, 3, 40) for dq in (0, 5, 100)]
@@ -179,3 +181,18 @@ def test_linear_response_excess_and_edge_fall_with_n():
     for a, b in RESPONSE_RATIOS[:2]:
         gap = [linear_response(n, a * n, b * n, math.inf)[1] + abs_a1 for n in ns]
         assert gap[0] > gap[1] > gap[2], (a, b, gap)
+
+
+@pytest.mark.parametrize("p,q", [(1024, 16384), (1024, 1024)])
+def test_sampled_variance_is_the_linear_response_one(p, q):
+    # at beta = 64 the sampled Var T is the first-order 4 int psi^4 / beta0_hat of the
+    # oracle, within 3 batch-means SE; n, beta, M, the seed and k = 3 were fixed before
+    # the first run.  That run gave beta Var T = 0.9009 +- 0.0198 against 0.9215
+    # (z = -1.04) at (1024, 16384) and 0.7839 +- 0.0190 against 0.8002 (z = -0.85)
+    # at p = q: both about 1 SE low, as in the roadmap's pilot at beta = 16, 64, 256
+    n, beta = 1024, 64.0
+    T = sweep(ExperimentConfig(mode="product", n=n, p=p, q=q, beta=beta, reps=4000, seed=4242, workers=2))
+    assert np.isfinite(T).all()
+    m = moments(T)
+    beta0_hat, _ = linear_response(n, p, q, beta)
+    assert abs(m["variance"] - airy_quartic_moment() / beta0_hat) <= 3 * m["se_variance"]

@@ -102,6 +102,11 @@ def test_moments_examples():
     assert two["mean"] == 0.5
     assert two["variance"] == pytest.approx(0.5, rel=1e-15)  # unbiased
     assert moments(_arr([-1, 0, 1]))["skewness"] == 0.0
+    # finite values whose third moment overflows: the moments still come back
+    with np.errstate(over="ignore", invalid="ignore"):
+        huge = moments(_arr([-1e120, 0.0, 1e120]))
+    assert huge["mean"] == 0.0 and huge["variance"] == pytest.approx(1e240, rel=1e-15)
+    assert math.isnan(huge["skewness"])
 
 
 def test_moments_standard_errors():
