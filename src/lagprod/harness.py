@@ -24,9 +24,10 @@ Replicate r of a run with master seed s draws only from the streams
 ``(s, r)`` of :func:`lagprod.variates.streams` (product mode: ``(s, 2r)`` and
 ``(s, 2r+1)``, one per factor), so the set of sample values is independent of
 worker count and scheduling; outputs are byte-identical for any --workers value.  The
-worker count is capped at the replicate count; one worker runs in-process.
+worker count is capped so that each process takes at least one full block
+(:func:`_blocks`); a sweep of fewer than two runs in-process.
 
-At w >= 2 workers the process keeps w - 1 helper processes, each joined to
+At w >= 2 processes the caller keeps w - 1 helper processes, each joined to
 it by a pipe, forked at the first parallel sweep of that count and reused
 by every later one; a sweep at another count terminates them and forks new
 ones.  A sweep cuts the replicates into w chunks of floor(reps/w) or
@@ -273,17 +274,24 @@ def _path_replicate(config: ExperimentConfig, start: int, stop: int) -> np.ndarr
     return potential_path(B, config.constants)
 
 
-def _chunk(replicate, width: int, config: ExperimentConfig, start: int, stop: int) -> np.ndarray:
-    """The rows of ``replicate`` over blocks of start..stop-1 of at most :data:`STACK_DOUBLES` doubles."""
+def _blocks(config: ExperimentConfig) -> tuple[int, int]:
+    """A block's replicates (at most :data:`STACK_DOUBLES` doubles per array) and a sweep's processes."""
+    # the doubles one replicate stacks: the Airy tape's N * mc micro-normals, or a chi factor's 2n
+    width = config.constants.N * config.constants.mc if config.mode == "tw-reference" else 2 * config.n
     step = max(1, STACK_DOUBLES // width)
+    return step, min(config.workers, max(1, config.reps // step))
+
+
+def _chunk(replicate, step: int, config: ExperimentConfig, start: int, stop: int) -> np.ndarray:
+    """The rows of ``replicate`` over blocks of ``step`` replicates of start..stop-1."""
     return np.concatenate([replicate(config, a, min(a + step, stop)) for a in range(start, stop, step)])
 
 
 def _map_blocks(replicate, config: ExperimentConfig) -> np.ndarray:
-    """The rows of the block function ``replicate`` over replicates 0..reps-1, in order."""
-    # the doubles one replicate stacks: the Airy tape's N * mc micro-normals, or a chi factor's 2n
-    width = config.constants.N * config.constants.mc if config.mode == "tw-reference" else 2 * config.n
-    return _pmap(partial(_chunk, replicate, width, config), config.reps, config.workers)
+    """The rows of the block function ``replicate`` over replicates 0..reps-1, in order, on the
+    processes of :func:`_blocks`: 64 default-mesh ``tw`` replicates run on 2 even at ``workers=8``."""
+    step, processes = _blocks(config)
+    return _pmap(partial(_chunk, replicate, step, config), config.reps, processes)
 
 
 # the process's helpers, ((pid, workers), [(process, pipe end), ...]); see the module docstring
@@ -525,7 +533,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[Path, dict]:
         "moments": mom,
         "failures": failures,
         "artifacts": {"samples_csv": {"path": str(batch_path), "sha256": batch_sha256}},
-        "timing": {"wall_seconds": wall, "per_replicate_seconds": wall / config.reps},
+        "timing": {"wall_seconds": wall, "per_replicate_seconds": wall / config.reps,
+                   "processes": _blocks(config)[1]},
     }
     report_path = config.out / f"{config.mode}-report.json"
     write_json(report_path, report)

@@ -43,9 +43,10 @@ def moments(x: np.ndarray) -> dict:
     s2 = float((centered * centered).sum())
     variance = s2 / (M - 1) if M > 1 else 0.0
     m2 = s2 / M
-    m3 = float(np.mean(centered**3))
-    # a float64 power overflows to inf (skewness 0 or nan) where a float's raises
-    skewness = float(m3 / np.float64(m2) ** 1.5) if m2 > 0 else 0.0
+    # float64 powers overflow to inf (skewness 0 or nan), quietly, where a float's raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        m3 = float(np.mean(centered**3))
+        skewness = float(m3 / np.float64(m2) ** 1.5) if m2 > 0 else 0.0
 
     se_mean = se_variance = None
     if M >= _BLOCKS:

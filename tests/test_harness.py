@@ -56,6 +56,18 @@ def _tw_config(out, workers=1, reps=16):
     )
 
 
+def _blocks_of(monkeypatch, rows, width):
+    """Cut sweeps into blocks of ``rows`` replicates of ``width`` doubles each, so that a short
+    sweep is spread over helpers, and drop the pool, so that the next parallel sweep forks one."""
+    monkeypatch.setattr(harness, "STACK_DOUBLES", rows * width)
+    harness._drop_pool()
+
+
+def _processes_used():
+    """The processes of the last parallel sweep since the pool was dropped: 1 if there was none."""
+    return 1 if harness._pool is None else 1 + len(harness._pool[1])
+
+
 def test_composition_consistency_single_replicate(tmp_path):
     # M = 1 product run equals the hand-composed module pipeline
     n = 4
@@ -78,22 +90,30 @@ _MODE_KWARGS = {
     "single": dict(n=6, p=8, beta=2.0),
     "tw-reference": dict(beta=2.0, mesh=0.1, cutoff=8.0),
 }
+# the doubles one replicate of each stacks: 2n for a chi factor, N * mc = 80 * 20 for the Airy tape
+_MODE_WIDTH = {"product": 12, "single": 12, "tw-reference": 80 * 20}
 
 
 # "potential" is the potential path of the "single" case's draws
 @pytest.mark.parametrize("case", [*_MODE_KWARGS, "potential"])
-def test_worker_count_independence(tmp_path, case):
+def test_worker_count_independence(tmp_path, monkeypatch, case):
     mode = "single" if case == "potential" else case
     blobs = []
-    for w in (1, 2, 8):
-        config = ExperimentConfig(mode=mode, reps=16, seed=11, workers=w, out=tmp_path / f"w{w}",
-                                  **_MODE_KWARGS[mode])
-        if case == "potential":
-            path = tmp_path / f"w{w}-potential-path.csv"
-            write_potential_csv(path, mean_potential_path(config))
-        else:
-            path = run_experiment(config)[1]["artifacts"]["samples_csv"]["path"]
-        blobs.append(Path(path).read_bytes())
+    # blocks of 2, so that the 16 replicates fill 8 processes, one block each
+    _blocks_of(monkeypatch, 2, _MODE_WIDTH[mode])
+    try:
+        for w in (1, 2, 8):
+            config = ExperimentConfig(mode=mode, reps=16, seed=11, workers=w, out=tmp_path / f"w{w}",
+                                      **_MODE_KWARGS[mode])
+            if case == "potential":
+                path = tmp_path / f"w{w}-potential-path.csv"
+                write_potential_csv(path, mean_potential_path(config))
+            else:
+                path = run_experiment(config)[1]["artifacts"]["samples_csv"]["path"]
+            blobs.append(Path(path).read_bytes())
+        assert _processes_used() == 8
+    finally:
+        harness._drop_pool()
     assert blobs[0] == blobs[1] == blobs[2]
 
 
@@ -137,6 +157,8 @@ def test_csv_bytes_do_not_depend_on_block_grouping(tmp_path, monkeypatch, comman
 # x86-64).  sample-tw's 30 replicates at the default mesh span two blocks of
 # at most 27 at one worker.  A change that moves these values, even within a
 # solver certificate, must re-record the hashes and say so in CHANGES.md.
+# the doubles one replicate of each stacks: 2n, or N * mc = 600 * 4 at the default mesh
+_PINNED_WIDTH = {"sample-product": 128, "sample-single": 200, "sample-tw": 2400, "diagnose-potential": 200}
 _CSV_SHA256 = {
     "sample-product": (["--n", "64", "--p", "96", "--q", "160", "--beta", "0.5", "--reps", "40", "--seed", "1301"],
                        "cb905e9a96cdef52d68cee4fd676c2a408ae685f936849b71e49dac489ab930c"),
@@ -151,10 +173,17 @@ _CSV_SHA256 = {
 
 @pytest.mark.parametrize("command", list(_CSV_SHA256))
 @pytest.mark.parametrize("workers", [1, 2])
-def test_csv_bytes_are_pinned(tmp_path, command, workers):
+def test_csv_bytes_are_pinned(tmp_path, monkeypatch, command, workers):
     flags, sha256 = _CSV_SHA256[command]
-    res = CliRunner().invoke(cli_main, [command, *flags, "--workers", str(workers), "--out", str(tmp_path)])
-    assert res.exit_code == 0, res.output
+    harness._drop_pool()
+    if workers == 2:  # blocks of 7, so that the helper takes half of the 30 or 40 replicates
+        monkeypatch.setattr(harness, "STACK_DOUBLES", 7 * _PINNED_WIDTH[command])
+    try:
+        res = CliRunner().invoke(cli_main, [command, *flags, "--workers", str(workers), "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert _processes_used() == workers
+    finally:
+        harness._drop_pool()
     (csv,) = tmp_path.glob("*.csv")
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == sha256
 
@@ -502,37 +531,98 @@ def test_all_failed_replicates_raise_config_error(tmp_path, monkeypatch):
 
 
 def test_no_pool_for_fewer_replicates_than_workers(tmp_path, monkeypatch):
+    # a sweep of fewer than two full blocks runs in-process at any worker count:
+    # one replicate at the default cap, and 1, 3 or 5 in blocks of 3
     runner = CliRunner()
-    args = ["sample-product", "--n", "6", "--p", "7", "--q", "9", "--beta", "1",
-            "--reps", "1", "--seed", "3"]
-    assert runner.invoke(cli_main, args + ["--workers", "1", "--out", str(tmp_path / "w1")]).exit_code == 0
+    args = ["sample-product", "--n", "6", "--p", "7", "--q", "9", "--beta", "1", "--seed", "3"]
+    csv = "product-samples.csv"
 
     def no_pool(*a, **k):
-        raise AssertionError("a one-replicate sweep must not start a pool")
+        raise AssertionError("a sweep of fewer than two full blocks must not start a pool")
 
-    monkeypatch.setattr(harness.multiprocessing, "get_context", no_pool)
-    res = runner.invoke(cli_main, args + ["--workers", "2", "--out", str(tmp_path / "w2")])
-    assert res.exit_code == 0, res.output
+    harness._drop_pool()  # so that a parallel sweep would have to fork
+    for rows, reps in [(None, 1), (3, 1), (3, 3), (3, 5)]:
+        if rows is not None:
+            _blocks_of(monkeypatch, rows, _MODE_WIDTH["product"])
+        out = tmp_path / f"{rows}-{reps}"
+        flags = args + ["--reps", str(reps), "--out"]
+        assert runner.invoke(cli_main, flags + [str(out / "w1"), "--workers", "1"]).exit_code == 0
+        with monkeypatch.context() as m:
+            m.setattr(harness.multiprocessing, "get_context", no_pool)
+            for w in (2, 8):
+                res = runner.invoke(cli_main, flags + [str(out / f"w{w}"), "--workers", str(w)])
+                assert res.exit_code == 0, res.output
+                assert (out / "w1" / csv).read_bytes() == (out / f"w{w}" / csv).read_bytes()
+
+
+def test_two_full_blocks_fork_one_helper(tmp_path, monkeypatch):
+    args = ["sample-product", "--n", "6", "--p", "7", "--q", "9", "--beta", "1", "--reps", "6", "--seed", "3"]
     csv = "product-samples.csv"
+    _blocks_of(monkeypatch, 3, _MODE_WIDTH["product"])
+    try:
+        for w in (1, 2):
+            res = CliRunner().invoke(cli_main, args + ["--workers", str(w), "--out", str(tmp_path / f"w{w}")])
+            assert res.exit_code == 0, res.output
+            assert _processes_used() == w
+    finally:
+        harness._drop_pool()
     assert (tmp_path / "w1" / csv).read_bytes() == (tmp_path / "w2" / csv).read_bytes()
+
+
+def test_report_records_the_processes_the_sweep_used(tmp_path, monkeypatch):
+    # blocks of 3: the count is the workers asked for, capped at one full block per process
+    for reps, workers, processes in [(6, 1, 1), (5, 2, 1), (6, 2, 2), (8, 8, 2), (9, 8, 3), (30, 3, 3)]:
+        _blocks_of(monkeypatch, 3, _MODE_WIDTH["product"])
+        config = ExperimentConfig(mode="product", n=6, p=7, q=9, reps=reps, seed=2, workers=workers,
+                                  out=tmp_path)
+        try:
+            _, report = run_experiment(config)
+            assert report["timing"]["processes"] == _processes_used() == processes
+        finally:
+            harness._drop_pool()
+        assert json.loads((tmp_path / "product-report.json").read_text())["timing"]["processes"] == processes
+
+
+def _benchmark_workloads() -> dict:
+    """``WORKLOADS`` of the benchmark's run.py, read from its source without importing it."""
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "benchmark" / "run.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["WORKLOADS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("benchmark/run.py defines no WORKLOADS")
+
+
+def test_benchmark_workloads_process_counts_at_two_workers(tmp_path):
+    # the product workloads' sweeps hold less than two blocks, so they run in-process at
+    # --workers 2; tw2-airy's 64 replicates (27 per block) keep one helper
+    counts = {name: harness._blocks(resolve_config(spec["mode"], dict(spec["flags"], reps=spec["reps"],
+                                                                       workers=2, out=tmp_path)))[1]
+              for name, spec in _benchmark_workloads().items()}
+    assert counts == {"product-iid-n256": 1, "product-pq-n1024": 1, "tw2-airy": 2}
 
 
 def test_parallel_sweeps_reuse_one_pool(tmp_path, monkeypatch):
     args = dict(mode="product", n=6, p=7, q=9, beta=0.5, reps=16)
     csv = "product-samples.csv"
-    run_experiment(ExperimentConfig(seed=4, workers=2, out=tmp_path / "first", **args))
+    _blocks_of(monkeypatch, 2, _MODE_WIDTH["product"])  # 8 blocks of 2, so each sweep forks or reuses
+    try:
+        run_experiment(ExperimentConfig(seed=4, workers=2, out=tmp_path / "first", **args))
+        assert _processes_used() == 2
 
-    def no_pool(*a, **k):
-        raise AssertionError("a second sweep at the same worker count must reuse the pool")
+        def no_pool(*a, **k):
+            raise AssertionError("a second sweep at the same worker count must reuse the pool")
 
-    monkeypatch.setattr(harness.multiprocessing, "get_context", no_pool)
-    for w in (2, 1):
-        run_experiment(ExperimentConfig(seed=5, workers=w, out=tmp_path / f"w{w}", **args))
+        monkeypatch.setattr(harness.multiprocessing, "get_context", no_pool)
+        for w in (2, 1):
+            run_experiment(ExperimentConfig(seed=5, workers=w, out=tmp_path / f"w{w}", **args))
+    finally:
+        harness._drop_pool()
     assert (tmp_path / "w2" / csv).read_bytes() == (tmp_path / "w1" / csv).read_bytes()
 
 
-def test_worker_count_change_replaces_pool(tmp_path):
+def test_worker_count_change_replaces_pool(tmp_path, monkeypatch):
     config = _tw_config(tmp_path / "w1")
+    _blocks_of(monkeypatch, 2, _MODE_WIDTH["tw-reference"])  # 8 blocks of 2, enough for 3 processes
     expected = sweep(config)
     pools = []
     for w in (2, 3, 2):
@@ -711,7 +801,8 @@ def test_run_report_json_checksums(tmp_path):
     assert payload["moments"].keys() == {"mean", "variance", "skewness", "se_mean", "se_variance"}
     assert payload["artifacts"].keys() == {"samples_csv"}
     assert payload["artifacts"]["samples_csv"].keys() == {"path", "sha256"}
-    assert payload["timing"].keys() == {"wall_seconds", "per_replicate_seconds"}
+    assert payload["timing"].keys() == {"wall_seconds", "per_replicate_seconds", "processes"}
+    assert payload["timing"]["processes"] == 1  # 16 replicates, under two blocks of 40
     art = payload["artifacts"]["samples_csv"]
     import hashlib
 
@@ -904,6 +995,19 @@ def test_scaling_report_discrepancy_note():
     rep_eq = scaling_report(coupled_scaling(4, 9, 9, 2.0))
     assert rep_eq["closed_form_Cn_note"] == "matches operative C_n"
     assert rep_eq["beta0"] == pytest.approx(4.0, rel=1e-12)
+
+
+def test_overflowing_moments_print_no_warning(tmp_path):
+    # at beta = 1e-300 the statistic is about 1e151, so its cubed deviations overflow:
+    # the skewness is nan, and neither that nor the pinned mean and variance warns
+    args = [sys.executable, "-m", "lagprod.cli", "sample-tw", "--beta", "1e-300", "--reps", "2",
+            "--out", str(tmp_path)]
+    proc = subprocess.run(args, env=ENV, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    mom = json.loads((tmp_path / "tw-reference-report.json").read_text())["moments"]
+    assert (mom["mean"], mom["variance"]) == (3.888605865947146e+151, 1.7614704769497649e+301)
+    assert math.isnan(mom["skewness"])
 
 
 def test_cli_constants_and_exit_codes(tmp_path):
