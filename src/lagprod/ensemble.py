@@ -112,14 +112,16 @@ def sample_bidiagonal(params: EnsembleParams, streams) -> BidiagonalFactor:
     """Draw one bidiagonal factor from one generator, or a stack of B from a sequence of B.
 
     Tape discipline (tape 2): each generator fills its row with all n diagonal
-    entries in order, then all n-1 subdiagonal entries; one
-    :func:`lagprod.variates.chi` call draws the whole stack.  The entries are
-    independent, so the order does not affect the law.
+    entries in order, then all n-1 subdiagonal entries, in one vectorized
+    :func:`lagprod.variates.chi` draw.  The entries are independent, so the
+    order does not affect the law.
     """
     n, kappa, beta = params.n, params.kappa, params.beta
+    alpha = _chi_params(n, kappa, beta)
     single = isinstance(streams, np.random.Generator)
-    streams = [streams] if single else streams
-    x = chi(streams, _chi_params(n, kappa, beta), out=np.empty((len(streams), 2 * n - 1)))
+    x = np.empty((1 if single else len(streams), 2 * n - 1))
+    for row, stream in zip(x, [streams] if single else streams):
+        chi(stream, alpha, out=row)
     x = x[0] if single else x
     return BidiagonalFactor(n=n, kappa=kappa, beta=beta, diag=x[..., :n], subdiag=x[..., n:])
 

@@ -24,8 +24,8 @@ Replicate r of a run with master seed s draws only from the streams
 ``(s, r)`` of :func:`lagprod.variates.streams` (product mode: ``(s, 2r)`` and
 ``(s, 2r+1)``, one per factor), so the set of sample values is independent of
 worker count and scheduling; outputs are byte-identical for any --workers value.  The
-worker count is capped so that each process takes at least one full block
-(:func:`_blocks`); a sweep of fewer than two runs in-process.
+worker count is capped so that each process's share stacks at least :data:`PROCESS_DOUBLES`
+doubles (:func:`_blocks`); a sweep of fewer than twice that runs in-process.
 
 At w >= 2 processes the caller keeps w - 1 helper processes, each joined to
 it by a pipe, forked at the first parallel sweep of that count and reused
@@ -249,6 +249,11 @@ def resolve_config(mode: str, flags: dict, config_path: Path | str | None = None
 # per block), so a chunk's memory does not grow with its replicate count
 STACK_DOUBLES = 2**16
 
+# the fewest doubles a process's share of a sweep stacks, below which a helper's round trip
+# (pickling, wake-up, cold start) costs more than it saves: on a 2-vCPU Xeon two processes lost
+# to one on product sweeps of 4096 doubles (n = 256 and 1024) and won from 5120 doubles up
+PROCESS_DOUBLES = 2500
+
 
 def _product_replicate(config: ExperimentConfig, start: int, stop: int) -> np.ndarray:
     sc, n, beta, seed = config.constants, config.n, config.beta, config.seed
@@ -275,11 +280,11 @@ def _path_replicate(config: ExperimentConfig, start: int, stop: int) -> np.ndarr
 
 
 def _blocks(config: ExperimentConfig) -> tuple[int, int]:
-    """A block's replicates (at most :data:`STACK_DOUBLES` doubles per array) and a sweep's processes."""
+    """Replicates per block (<= STACK_DOUBLES doubles) and processes (>= PROCESS_DOUBLES doubles each)."""
     # the doubles one replicate stacks: the Airy tape's N * mc micro-normals, or a chi factor's 2n
     width = config.constants.N * config.constants.mc if config.mode == "tw-reference" else 2 * config.n
-    step = max(1, STACK_DOUBLES // width)
-    return step, min(config.workers, max(1, config.reps // step))
+    processes = max(1, config.reps * width // PROCESS_DOUBLES)
+    return max(1, STACK_DOUBLES // width), min(config.workers, processes)
 
 
 def _chunk(replicate, step: int, config: ExperimentConfig, start: int, stop: int) -> np.ndarray:
@@ -288,8 +293,7 @@ def _chunk(replicate, step: int, config: ExperimentConfig, start: int, stop: int
 
 
 def _map_blocks(replicate, config: ExperimentConfig) -> np.ndarray:
-    """The rows of the block function ``replicate`` over replicates 0..reps-1, in order, on the
-    processes of :func:`_blocks`: 64 default-mesh ``tw`` replicates run on 2 even at ``workers=8``."""
+    """The rows of the block function ``replicate`` over replicates 0..reps-1, in order."""
     step, processes = _blocks(config)
     return _pmap(partial(_chunk, replicate, step, config), config.reps, processes)
 

@@ -93,21 +93,14 @@ def streams(seed: int, indices) -> list[np.random.Generator]:
     return [split_stream(seed, index) for index in indices]
 
 
-def chi(gens, alpha, out: np.ndarray | None = None):
-    """Chi variates in the convention E[chi_alpha^2] = alpha, one per entry of ``alpha``:
-    from one generator (into ``out`` when it is given), or from each of a sequence of B
-    generators into its row of ``out``, of shape (B, len(alpha)).
+def chi(gen: np.random.Generator, alpha, out: np.ndarray | None = None):
+    """Chi variates in the convention E[chi_alpha^2] = alpha, one per entry of ``alpha``,
+    written into ``out`` when it is given.
 
     Sampled as sqrt of a gamma variate with shape alpha/2 and scale 2
-    (correct for all alpha > 0 including shape < 1), scaled and rooted once per call.
-    alpha = 0 denotes the degenerate variate identically zero and consumes no tape.  A
-    negative alpha (-0.0 included) raises ValueError, from ``standard_gamma``'s own check.
+    (correct for all alpha > 0 including shape < 1).  alpha = 0 denotes the
+    degenerate variate identically zero and consumes no tape.  A negative
+    alpha (-0.0 included) raises ValueError, from ``standard_gamma``'s own check.
     """
-    half = 0.5 * np.asarray(alpha, dtype=float)
-    if isinstance(gens, np.random.Generator):
-        gamma = gens.standard_gamma(half, out=out)
-    else:
-        for gen, row in zip(gens, out):
-            gen.standard_gamma(half, out=row)
-        gamma = out
+    gamma = gen.standard_gamma(0.5 * np.asarray(alpha, dtype=float), out=out)
     return np.sqrt(np.multiply(gamma, 2.0, out=out), out=out)

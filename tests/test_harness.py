@@ -56,10 +56,11 @@ def _tw_config(out, workers=1, reps=16):
     )
 
 
-def _blocks_of(monkeypatch, rows, width):
-    """Cut sweeps into blocks of ``rows`` replicates of ``width`` doubles each, so that a short
-    sweep is spread over helpers, and drop the pool, so that the next parallel sweep forks one."""
-    monkeypatch.setattr(harness, "STACK_DOUBLES", rows * width)
+def _shares_of(monkeypatch, doubles):
+    """Give each process of a sweep a share of at least ``doubles`` doubles (1: any share), so
+    that a short sweep is spread over helpers, and drop the pool, so that the next parallel
+    sweep forks one."""
+    monkeypatch.setattr(harness, "PROCESS_DOUBLES", doubles)
     harness._drop_pool()
 
 
@@ -99,8 +100,7 @@ _MODE_WIDTH = {"product": 12, "single": 12, "tw-reference": 80 * 20}
 def test_worker_count_independence(tmp_path, monkeypatch, case):
     mode = "single" if case == "potential" else case
     blobs = []
-    # blocks of 2, so that the 16 replicates fill 8 processes, one block each
-    _blocks_of(monkeypatch, 2, _MODE_WIDTH[mode])
+    _shares_of(monkeypatch, 1)  # so that the 16 replicates fill 8 processes
     try:
         for w in (1, 2, 8):
             config = ExperimentConfig(mode=mode, reps=16, seed=11, workers=w, out=tmp_path / f"w{w}",
@@ -135,6 +135,7 @@ def test_csv_bytes_do_not_depend_on_block_grouping(tmp_path, monkeypatch, comman
     # short one at either worker count, and 3 workers take chunks of 3, 4, 4.
     flags, width = _BLOCK_CASES[command]
     default = harness.STACK_DOUBLES
+    monkeypatch.setattr(harness, "PROCESS_DOUBLES", 1)  # so that 3 workers take 3 chunks
     blobs = {}
     try:
         for rows in (1, 3, None):
@@ -157,8 +158,6 @@ def test_csv_bytes_do_not_depend_on_block_grouping(tmp_path, monkeypatch, comman
 # x86-64).  sample-tw's 30 replicates at the default mesh span two blocks of
 # at most 27 at one worker.  A change that moves these values, even within a
 # solver certificate, must re-record the hashes and say so in CHANGES.md.
-# the doubles one replicate of each stacks: 2n, or N * mc = 600 * 4 at the default mesh
-_PINNED_WIDTH = {"sample-product": 128, "sample-single": 200, "sample-tw": 2400, "diagnose-potential": 200}
 _CSV_SHA256 = {
     "sample-product": (["--n", "64", "--p", "96", "--q", "160", "--beta", "0.5", "--reps", "40", "--seed", "1301"],
                        "cb905e9a96cdef52d68cee4fd676c2a408ae685f936849b71e49dac489ab930c"),
@@ -175,9 +174,7 @@ _CSV_SHA256 = {
 @pytest.mark.parametrize("workers", [1, 2])
 def test_csv_bytes_are_pinned(tmp_path, monkeypatch, command, workers):
     flags, sha256 = _CSV_SHA256[command]
-    harness._drop_pool()
-    if workers == 2:  # blocks of 7, so that the helper takes half of the 30 or 40 replicates
-        monkeypatch.setattr(harness, "STACK_DOUBLES", 7 * _PINNED_WIDTH[command])
+    _shares_of(monkeypatch, 1)  # so that the helper takes half of the 30 or 40 replicates
     try:
         res = CliRunner().invoke(cli_main, [command, *flags, "--workers", str(workers), "--out", str(tmp_path)])
         assert res.exit_code == 0, res.output
@@ -531,19 +528,19 @@ def test_all_failed_replicates_raise_config_error(tmp_path, monkeypatch):
 
 
 def test_no_pool_for_fewer_replicates_than_workers(tmp_path, monkeypatch):
-    # a sweep of fewer than two full blocks runs in-process at any worker count:
-    # one replicate at the default cap, and 1, 3 or 5 in blocks of 3
+    # a sweep of less than two shares runs in-process at any worker count: 1 or 16
+    # replicates (192 doubles) at the default share, and 3 or 5 in shares of 3
     runner = CliRunner()
     args = ["sample-product", "--n", "6", "--p", "7", "--q", "9", "--beta", "1", "--seed", "3"]
     csv = "product-samples.csv"
 
     def no_pool(*a, **k):
-        raise AssertionError("a sweep of fewer than two full blocks must not start a pool")
+        raise AssertionError("a sweep of less than two shares must not start a pool")
 
     harness._drop_pool()  # so that a parallel sweep would have to fork
-    for rows, reps in [(None, 1), (3, 1), (3, 3), (3, 5)]:
+    for rows, reps in [(None, 1), (None, 16), (3, 3), (3, 5)]:
         if rows is not None:
-            _blocks_of(monkeypatch, rows, _MODE_WIDTH["product"])
+            _shares_of(monkeypatch, rows * _MODE_WIDTH["product"])
         out = tmp_path / f"{rows}-{reps}"
         flags = args + ["--reps", str(reps), "--out"]
         assert runner.invoke(cli_main, flags + [str(out / "w1"), "--workers", "1"]).exit_code == 0
@@ -555,10 +552,10 @@ def test_no_pool_for_fewer_replicates_than_workers(tmp_path, monkeypatch):
                 assert (out / "w1" / csv).read_bytes() == (out / f"w{w}" / csv).read_bytes()
 
 
-def test_two_full_blocks_fork_one_helper(tmp_path, monkeypatch):
+def test_two_shares_fork_one_helper(tmp_path, monkeypatch):
     args = ["sample-product", "--n", "6", "--p", "7", "--q", "9", "--beta", "1", "--reps", "6", "--seed", "3"]
     csv = "product-samples.csv"
-    _blocks_of(monkeypatch, 3, _MODE_WIDTH["product"])
+    _shares_of(monkeypatch, 3 * _MODE_WIDTH["product"])
     try:
         for w in (1, 2):
             res = CliRunner().invoke(cli_main, args + ["--workers", str(w), "--out", str(tmp_path / f"w{w}")])
@@ -570,9 +567,9 @@ def test_two_full_blocks_fork_one_helper(tmp_path, monkeypatch):
 
 
 def test_report_records_the_processes_the_sweep_used(tmp_path, monkeypatch):
-    # blocks of 3: the count is the workers asked for, capped at one full block per process
+    # shares of 3 replicates: the count is the workers asked for, capped at one share per process
     for reps, workers, processes in [(6, 1, 1), (5, 2, 1), (6, 2, 2), (8, 8, 2), (9, 8, 3), (30, 3, 3)]:
-        _blocks_of(monkeypatch, 3, _MODE_WIDTH["product"])
+        _shares_of(monkeypatch, 3 * _MODE_WIDTH["product"])
         config = ExperimentConfig(mode="product", n=6, p=7, q=9, reps=reps, seed=2, workers=workers,
                                   out=tmp_path)
         try:
@@ -593,18 +590,26 @@ def _benchmark_workloads() -> dict:
 
 
 def test_benchmark_workloads_process_counts_at_two_workers(tmp_path):
-    # the product workloads' sweeps hold less than two blocks, so they run in-process at
-    # --workers 2; tw2-airy's 64 replicates (27 per block) keep one helper
+    # the product workloads' sweeps stack 4096 doubles, less than two shares, so they run
+    # in-process at --workers 2; tw2-airy's 64 replicates of 2400 doubles keep one helper
     counts = {name: harness._blocks(resolve_config(spec["mode"], dict(spec["flags"], reps=spec["reps"],
                                                                        workers=2, out=tmp_path)))[1]
               for name, spec in _benchmark_workloads().items()}
     assert counts == {"product-iid-n256": 1, "product-pq-n1024": 1, "tw2-airy": 2}
 
 
+def test_sweeps_of_under_two_blocks_still_split(tmp_path):
+    # 48 replicates at n = 1024 (32 to a block) and 192 at n = 256 (128 to a block): at
+    # --workers 2 a helper saves far more than its round trip costs, so the sweep splits
+    for n, p, q, reps in [(1024, 2048, 4096, 48), (256, 256, 256, 192)]:
+        config = resolve_config("product", dict(n=n, p=p, q=q, beta=0.5, reps=reps, workers=2, out=tmp_path))
+        assert harness._blocks(config) == (harness.STACK_DOUBLES // (2 * n), 2)
+
+
 def test_parallel_sweeps_reuse_one_pool(tmp_path, monkeypatch):
     args = dict(mode="product", n=6, p=7, q=9, beta=0.5, reps=16)
     csv = "product-samples.csv"
-    _blocks_of(monkeypatch, 2, _MODE_WIDTH["product"])  # 8 blocks of 2, so each sweep forks or reuses
+    _shares_of(monkeypatch, 1)  # so that each sweep at 2 workers forks or reuses helpers
     try:
         run_experiment(ExperimentConfig(seed=4, workers=2, out=tmp_path / "first", **args))
         assert _processes_used() == 2
@@ -620,9 +625,8 @@ def test_parallel_sweeps_reuse_one_pool(tmp_path, monkeypatch):
     assert (tmp_path / "w2" / csv).read_bytes() == (tmp_path / "w1" / csv).read_bytes()
 
 
-def test_worker_count_change_replaces_pool(tmp_path, monkeypatch):
-    config = _tw_config(tmp_path / "w1")
-    _blocks_of(monkeypatch, 2, _MODE_WIDTH["tw-reference"])  # 8 blocks of 2, enough for 3 processes
+def test_worker_count_change_replaces_pool(tmp_path):
+    config = _tw_config(tmp_path / "w1")  # 16 replicates of 1600 doubles, enough for 3 processes
     expected = sweep(config)
     pools = []
     for w in (2, 3, 2):
