@@ -56,10 +56,10 @@ class AiryDiscretization:
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
         if not 0 < self.h <= 0.1:
             raise ValueError(f"mesh step must lie in (0, 0.1], got {self.h}")
-        if not math.isfinite(self.L):
-            raise ValueError(f"domain cutoff must be finite, got {self.L}")
         if self.L < 8:  # with h <= 0.1, at least 80 mesh points
             raise ValueError(f"domain cutoff must be >= 8, got {self.L}")
+        if not math.isfinite(self.L / self.h):  # so that N = round(L/h) is a count
+            raise ValueError(f"domain cutoff and its point count L/h must be finite, got L={self.L}")
 
     @property
     def N(self) -> int:

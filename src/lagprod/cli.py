@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
+import time
 from functools import partial
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from .harness import (
     resolve_config,
     run_experiment,
     scaling_report,
+    timing_report,
     versions,
     write_json,
     write_potential_csv,
@@ -119,15 +121,18 @@ def constants(**flags):
 def diagnose_potential(**flags):
     """Mean potential path of sampled matrices versus the x^2/2 reference."""
     config = resolve_config("single", flags)
+    t0 = time.perf_counter()
     result = mean_potential_path(config)
     csv_path = config.out / "potential-path.csv"
     csv_sha256 = write_potential_csv(csv_path, result)
     sup = float(abs(result["mean"] - result["reference"]).max())
-    write_json(config.out / "potential-report.json",
+    report_path = config.out / "potential-report.json"
+    write_json(report_path,
                {"n": config.n, "p": config.p, "beta": config.beta, "reps": config.reps, "seed": config.seed,
-                "tape": TAPE, "versions": dict(versions()),
-                "sup_abs_deviation": sup, "csv": str(csv_path), "csv_sha256": csv_sha256})
+                "workers": config.workers, "tape": TAPE, "versions": dict(versions()), "sup_abs_deviation": sup,
+                "csv": str(csv_path), "csv_sha256": csv_sha256, "timing": timing_report(config, t0)})
     click.echo(f"wrote {csv_path}")
+    click.echo(f"wrote {report_path}")
     click.echo(f"sup |mean - x^2/2| over the full grid: {sup:.4f}")
 
 

@@ -2,11 +2,12 @@
 
 A factor B is lower bidiagonal with independent chi entries
 ``diag[j] ~ chi_{beta*(kappa-j+1)}`` (j = 1..n) and
-``subdiag[j] ~ chi_{beta*(n-j)}`` (j = 1..n-1).  The ensemble matrix is the
-scaled Gram matrix X = B^T B / beta, which is symmetric tridiagonal and
+``subdiag[j] ~ chi_{beta*(n-j)}`` (j = 1..n-1).  That law is an
+:class:`EnsembleParams`; a :class:`BidiagonalFactor` holds only the entries
+and beta.  The ensemble matrix X = B^T B / beta is symmetric tridiagonal and
 positive semidefinite; the 1/beta makes (sqrt(n)+sqrt(kappa))^2 the correct
-centering for its largest eigenvalue.  It is stored as a
-:class:`SymmetricBanded`, the band type of every matrix model here.
+centering for its largest eigenvalue.  X is a :class:`SymmetricBanded`, the
+band type of every matrix model here, read by the solvers and the potential path.
 
 Factors and band matrices stack along a leading axis: a factor's entries,
 and each band, are either 1-D (one matrix) or 2-D with one row per matrix,
@@ -45,20 +46,18 @@ class EnsembleParams:
 
 @dataclass(frozen=True)
 class BidiagonalFactor:
-    """Realized chi entries of one lower-bidiagonal factor, or of a stack of them.
+    """Realized chi entries of one lower-bidiagonal factor, or of a stack of them, and their beta.
 
     ``diag`` has shape (n,) and ``subdiag`` (n-1,), or (B, n) and (B, n-1)
-    for a stack of B factors sharing (n, kappa, beta)."""
+    for a stack of B factors."""
 
-    n: int
-    kappa: int
     beta: float
     diag: np.ndarray
     subdiag: np.ndarray
 
     def __post_init__(self):
-        if self.diag.shape[-1] != self.n or self.subdiag.shape[-1] != self.n - 1:
-            raise ValueError("factor entry lengths do not match n")
+        if self.subdiag.shape[-1] != self.diag.shape[-1] - 1:
+            raise ValueError("a factor has one subdiagonal entry fewer than diagonal entries")
 
 
 @dataclass(frozen=True)
@@ -123,7 +122,7 @@ def sample_bidiagonal(params: EnsembleParams, streams) -> BidiagonalFactor:
     for row, stream in zip(x, [streams] if single else streams):
         chi(stream, alpha, out=row)
     x = x[0] if single else x
-    return BidiagonalFactor(n=n, kappa=kappa, beta=beta, diag=x[..., :n], subdiag=x[..., n:])
+    return BidiagonalFactor(beta=beta, diag=x[..., :n], subdiag=x[..., n:])
 
 
 def laguerre_matrix(factor: BidiagonalFactor) -> SymmetricBanded:
@@ -141,25 +140,18 @@ def laguerre_matrix(factor: BidiagonalFactor) -> SymmetricBanded:
     return SymmetricBanded((diag / beta, off / beta))
 
 
-def potential_path(factor: BidiagonalFactor, scaling) -> np.ndarray:
-    """Realized potential path y_1(x) + y_2(x) of one sampled matrix, or of a stack.
+def potential_path(X: SymmetricBanded, scaling) -> np.ndarray:
+    """Realized potential path y_1(x) + y_2(x) of one Laguerre matrix X, or of a stack.
 
-    Returns its values at x_k = k/m (k = 1..n-1), shape (n-1,) for one factor
-    and (B, n-1) for a stack of B; each is the cumulative sum of
-    the diagonal deviations ``(n + i) - beta^{-1}(chi^2 + chi~^2)`` plus the
-    off-diagonal deviations ``2(sqrt(n i) - beta^{-1} chi chi~)``, scaled by
-    m/sqrt(n i).  Its empirical mean approaches x^2/2 as n grows; the noise
-    about the mean approaches Brownian motion scaled by 2/sqrt(beta).
+    Returns its values at x_k = k/m (k = 1..n-1), shape (n-1,) for one matrix
+    and (B, n-1) for a stack of B: the cumulative sums of the diagonal
+    deviations ``(n + i) - X[j,j]`` plus the off-diagonal deviations
+    ``2(sqrt(n i) - X[j,j+1])``, scaled by m/sqrt(n i).  Their empirical mean
+    approaches x^2/2 as n grows; the noise about it, Brownian motion scaled by 2/sqrt(beta).
 
-    ``scaling`` is the single-matrix constants record for the same (n, i);
-    see :func:`lagprod.scaling.single_scaling`.
+    ``scaling`` is the single-matrix constants record of the (n, i) that X
+    was drawn with; see :func:`lagprod.scaling.single_scaling`.
     """
-    if scaling.n != factor.n or scaling.i != factor.kappa:
-        raise ValueError(
-            f"scaling record (n={scaling.n}, i={scaling.i}) does not match "
-            f"factor (n={factor.n}, kappa={factor.kappa})"
-        )
-    n, i = factor.n, factor.kappa
-    diag, offdiag = laguerre_matrix(factor).bands
-    terms = scaling.mu - (diag[..., :-1] + 2.0 * offdiag)
-    return np.cumsum(terms, axis=-1) * (scaling.m / np.sqrt(float(n) * float(i)))
+    diag, offdiag = X.bands
+    return np.cumsum(scaling.mu - (diag[..., :-1] + 2.0 * offdiag), axis=-1) * (
+        scaling.m / np.sqrt(float(scaling.n) * float(scaling.i)))

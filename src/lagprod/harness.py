@@ -11,7 +11,7 @@ grouped.  :func:`_map_blocks` is the one place a batch is drawn: one loop,
 most :data:`STACK_DOUBLES` doubles per stacked array.  There is one mode
 per sampling command: ``product``, ``single`` and ``tw-reference``.  The
 potential path of ``diagnose-potential`` is a second statistic of ``single``
-draws: :func:`mean_potential_path` reads it off the very factor each
+draws: :func:`mean_potential_path` reads it off the very matrix X that each
 ``single`` replicate solves.  One table, :data:`SETTINGS` with :data:`SHARED`
 and :data:`MODES`, says which settings each mode takes (a config refuses the
 others) and gives the flags of every command, each of which checks its
@@ -276,7 +276,7 @@ def _tw_replicate(config: ExperimentConfig, start: int, stop: int) -> np.ndarray
 def _path_replicate(config: ExperimentConfig, start: int, stop: int) -> np.ndarray:
     seed = config.seed
     B = sample_bidiagonal(EnsembleParams(config.n, config.p, config.beta), streams(seed, range(start, stop)))
-    return potential_path(B, config.constants)
+    return potential_path(laguerre_matrix(B), config.constants)
 
 
 def _blocks(config: ExperimentConfig) -> tuple[int, int]:
@@ -515,6 +515,12 @@ def _sample_params(config: ExperimentConfig) -> tuple[dict, dict]:
     return params, _field_dict(c)
 
 
+def timing_report(config: ExperimentConfig, t0: float) -> dict:
+    """A report's ``timing``: the wall seconds since ``t0``, per replicate, and the processes of its sweep."""
+    wall = time.perf_counter() - t0
+    return {"wall_seconds": wall, "per_replicate_seconds": wall / config.reps, "processes": _blocks(config)[1]}
+
+
 def run_experiment(config: ExperimentConfig) -> tuple[Path, dict]:
     """Run one Monte Carlo sweep, persist its sample batch and write its report.
 
@@ -528,7 +534,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[Path, dict]:
     batch_sha256 = write_batch_csv(batch_path, config.mode, params, rows)
 
     mom = moments(_finite_rows(rows, batch_path))
-    wall = time.perf_counter() - t0
     report = {
         "tape": TAPE,
         "versions": dict(versions()),
@@ -537,8 +542,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[Path, dict]:
         "moments": mom,
         "failures": failures,
         "artifacts": {"samples_csv": {"path": str(batch_path), "sha256": batch_sha256}},
-        "timing": {"wall_seconds": wall, "per_replicate_seconds": wall / config.reps,
-                   "processes": _blocks(config)[1]},
+        "timing": timing_report(config, t0),
     }
     report_path = config.out / f"{config.mode}-report.json"
     write_json(report_path, report)
@@ -563,7 +567,7 @@ def compare_batches(path_a: Path | str, path_b: Path | str, out: Path | str | No
 def mean_potential_path(config: ExperimentConfig) -> dict[str, np.ndarray]:
     """Empirical mean of the potential path of a ``single`` config's draws.
 
-    Replicate r reads it off the factor that ``single`` replicate r solves.
+    Replicate r reads it off the matrix X that ``single`` replicate r solves.
     Returns arrays x (grid k/m), mean, stderr and the reference x^2/2.
     """
     if config.mode != "single":

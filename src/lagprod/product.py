@@ -27,12 +27,10 @@ def product_similarity(B_q: BidiagonalFactor, X_p: SymmetricBanded) -> Symmetric
     B = B_q / beta, S = BA and X_p X_q = AB, and AB and BA share their
     characteristic polynomial for any square A and B.
     """
-    n = B_q.n
-    if X_p.n != n:
-        raise ValueError(f"size mismatch: B_q has n={n}, X_p has n={X_p.n}")
-    d, s = B_q.diag, B_q.subdiag
+    d, s, beta = B_q.diag, B_q.subdiag, B_q.beta
+    if d.shape[-1] != X_p.n:
+        raise ValueError(f"size mismatch: B_q has n={d.shape[-1]}, X_p has n={X_p.n}")
     a, b = X_p.bands
-    beta = B_q.beta
 
     # at n <= 2 the slices past the matrix are empty, so no size needs a branch
     diag = d * d * a

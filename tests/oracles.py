@@ -19,9 +19,10 @@ EPS = np.finfo(float).eps
 
 def dense_bidiagonal(B: BidiagonalFactor) -> np.ndarray:
     """The lower-bidiagonal factor B as a dense n x n array."""
-    A = np.zeros((B.n, B.n))
+    n = len(B.diag)
+    A = np.zeros((n, n))
     np.fill_diagonal(A, B.diag)
-    A[np.arange(1, B.n), np.arange(B.n - 1)] = B.subdiag
+    A[np.arange(1, n), np.arange(n - 1)] = B.subdiag
     return A
 
 
@@ -135,7 +136,7 @@ def linear_response(n: int, p: int, q: int, beta: float) -> tuple[float, float]:
         # the chi parameters of the diagonal's and the subdiagonal's first K + 1 rows
         alpha = b * (kappa - np.arange(K + 1)), b * (n - 1 - np.arange(K))
         diag, subdiag = (chi_mean(a) if finite else np.sqrt(a) for a in alpha)
-        return BidiagonalFactor(n=K + 1, kappa=kappa, beta=b, diag=diag, subdiag=subdiag), alpha
+        return BidiagonalFactor(beta=b, diag=diag, subdiag=subdiag), alpha
 
     (B_p, alpha_p), (B_q, alpha_q) = factor(p), factor(q)
     X_p = laguerre_matrix(B_p)

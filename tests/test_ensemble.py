@@ -4,6 +4,7 @@ import pytest
 from lagprod import ensemble
 from lagprod.eig import EigConfig, banded_largest_eig, gershgorin_bounds
 from lagprod.ensemble import (
+    BidiagonalFactor,
     EnsembleParams,
     SymmetricBanded,
     laguerre_matrix,
@@ -13,7 +14,7 @@ from lagprod.ensemble import (
 from lagprod.harness import ExperimentConfig, mean_potential_path
 from lagprod.scaling import single_scaling
 from lagprod.variates import chi, split_stream, streams
-from oracles import chi_mean, dense_bidiagonal, dense_tridiagonal, stack
+from oracles import chi_mean, dense_bidiagonal, dense_tridiagonal, row, stack
 
 
 def test_params_validation():
@@ -23,6 +24,9 @@ def test_params_validation():
         EnsembleParams(n=3, kappa=2, beta=1.0)
     with pytest.raises(ValueError):
         EnsembleParams(n=2, kappa=2, beta=0.0)
+    # a factor holds no law, only entries whose lengths must make a factor
+    with pytest.raises(ValueError, match="one subdiagonal entry fewer"):
+        BidiagonalFactor(beta=1.0, diag=np.ones(3), subdiag=np.ones(3))
 
 
 def test_sample_boundary_n1():
@@ -93,6 +97,20 @@ def test_laguerre_n1_is_scalar_square():
     factor = sample_bidiagonal(EnsembleParams(n=1, kappa=4, beta=3.0), split_stream(1, 0))
     X = laguerre_matrix(factor)
     assert X.bands[0][0] == pytest.approx(factor.diag[0] ** 2 / 3.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("K", [1, 4, 8])
+def test_prefix_factor_gives_the_leading_block_of_x(K):
+    # the chi entries are independent, so the first K + 1 rows of a factor are a
+    # factor of their own; they give X's leading K x K block bit for bit (row K
+    # brings X[K-1, K-1]'s subdiagonal term), and K rows do not
+    full = sample_bidiagonal(EnsembleParams(n=9, kappa=12, beta=0.7), streams(5, range(3)))
+    X = laguerre_matrix(full)
+    for rows in (K + 1, K):
+        prefix = laguerre_matrix(BidiagonalFactor(beta=full.beta, diag=full.diag[:, :rows],
+                                                  subdiag=full.subdiag[:, :rows - 1]))
+        block = [np.array_equal(row(prefix, r).dense()[:K, :K], row(X, r).dense()[:K, :K]) for r in range(3)]
+        assert block == [rows == K + 1] * 3
 
 
 @pytest.mark.parametrize("n,kappa,beta", [(4, 4, 1.0), (4, 7, 2.0), (8, 11, 0.5)])
@@ -171,19 +189,14 @@ def test_potential_path_starts_at_zero_and_first_increment():
     n, i, beta = 2, 4, 2.0
     factor = sample_bidiagonal(EnsembleParams(n=n, kappa=i, beta=beta), split_stream(4, 0))
     s = single_scaling(n, i)
-    path = potential_path(factor, s)
-    diag, offdiag = laguerre_matrix(factor).bands
+    X = laguerre_matrix(factor)
+    path = potential_path(X, s)
+    diag, offdiag = X.bands
     first = (s.mu - (diag[0] + 2.0 * offdiag[0])) * s.m / np.sqrt(float(n) * i)
     assert path[0] == pytest.approx(first, rel=1e-15)
     grid = mean_potential_path(ExperimentConfig(mode="single", n=n, p=i, beta=beta, reps=1, seed=4))["x"]
     assert grid[0] == pytest.approx(1.0 / s.m, rel=1e-15)
     assert np.all(np.diff(grid) > 0)
-
-
-def test_potential_path_parameter_mismatch():
-    factor = sample_bidiagonal(EnsembleParams(n=4, kappa=6, beta=1.0), split_stream(4, 1))
-    with pytest.raises(ValueError):
-        potential_path(factor, single_scaling(4, 7))
 
 
 def test_deterministic_path_near_half_x_squared_at_x1():
@@ -203,7 +216,7 @@ def test_potential_path_mean_matches_deterministic_oracle():
     acc = np.zeros(n - 1)
     for r in range(M):
         factor = sample_bidiagonal(EnsembleParams(n=n, kappa=n, beta=beta), split_stream(606, r))
-        acc += potential_path(factor, s)
+        acc += potential_path(laguerre_matrix(factor), s)
     x, det = _deterministic_path(n, n, beta)
     mask = x <= 3.0
     # limit-process variance (4/beta) x gives the per-point scale of the noise
@@ -222,7 +235,7 @@ def test_potential_path_noise_scale_shrinks_with_beta():
         acc = np.zeros(n - 1)
         for r in range(M):
             factor = sample_bidiagonal(EnsembleParams(n=n, kappa=n, beta=beta), split_stream(515, r))
-            acc += potential_path(factor, s)
+            acc += potential_path(laguerre_matrix(factor), s)
         x, det = _deterministic_path(n, n, beta)
         mask = x <= 3.0
         sups[beta] = np.abs(acc[mask] / M - det[mask]).max()

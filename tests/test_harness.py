@@ -337,6 +337,7 @@ def test_config_file_precedence_and_validation(tmp_path):
         dict(mode="product", n=4, p=5, q=6, mesh=0.05),  # a setting the mode does not take
         dict(mode="single", n=4, p=5, q=6),
         dict(mode="tw-reference", n=500),
+        dict(mode="tw-reference", mesh=0.001, cutoff=1e308),  # L/h overflows to a point count of inf
     ],
 )
 def test_config_validation_errors(kwargs):
@@ -465,7 +466,7 @@ def test_potential_rerun_into_the_same_directory_leaves_no_stale_tail(tmp_path):
         assert res.exit_code == 0, res.output
     reused, fresh = tmp_path / "reused", tmp_path / "fresh"
     assert (reused / "potential-path.csv").read_bytes() == (fresh / "potential-path.csv").read_bytes()
-    reports = [json.loads((d / "potential-report.json").read_text()) | {"csv": None}
+    reports = [json.loads((d / "potential-report.json").read_text()) | {"csv": None, "timing": None}
                for d in (reused, fresh)]
     assert reports[0] == reports[1]
     assert reports[0]["n"] == 6
@@ -950,8 +951,8 @@ def test_single_sweep_and_potential_path_draw_the_same_factors(monkeypatch):
     drawn = []
 
     def recording(params, streams):
-        drawn.append(sample_bidiagonal(params, streams))
-        return drawn[-1]
+        drawn.append((params, sample_bidiagonal(params, streams)))
+        return drawn[-1][1]
 
     monkeypatch.setattr(harness, "sample_bidiagonal", recording)
     config = ExperimentConfig(mode="single", n=6, p=8, beta=0.7, reps=5, seed=13)
@@ -961,8 +962,9 @@ def test_single_sweep_and_potential_path_draw_the_same_factors(monkeypatch):
     mean_potential_path(config)
     # one stacked draw per block, the five replicates' factors as its rows
     assert len(solved) == len(drawn) == 1
-    for a, b in zip(solved, drawn):
-        assert (a.n, a.kappa, a.beta) == (b.n, b.kappa, b.beta) == (6, 8, 0.7)
+    for (law_a, a), (law_b, b) in zip(solved, drawn):
+        assert (law_a.n, law_a.kappa, law_a.beta) == (law_b.n, law_b.kappa, law_b.beta) == (6, 8, 0.7)
+        assert a.beta == b.beta == 0.7
         assert a.diag.shape == b.diag.shape == (5, 6)
         assert np.array_equal(a.diag, b.diag) and np.array_equal(a.subdiag, b.subdiag)
 
@@ -1064,7 +1066,7 @@ def test_cli_constants_and_exit_codes(tmp_path):
     assert breach.exit_code == 3
 
 
-def test_cli_diagnose_potential(tmp_path):
+def test_cli_diagnose_potential(tmp_path, monkeypatch):
     runner = CliRunner()
     res = runner.invoke(
         cli_main,
@@ -1072,13 +1074,35 @@ def test_cli_diagnose_potential(tmp_path):
          "--reps", "6", "--seed", "2", "--out", str(tmp_path)],
     )
     assert res.exit_code == 0
+    assert res.output.splitlines()[:2] == [f"wrote {tmp_path / 'potential-path.csv'}",
+                                           f"wrote {tmp_path / 'potential-report.json'}"]
     lines = (tmp_path / "potential-path.csv").read_text().splitlines()
     assert lines[0] == "x,mean,stderr,reference"
     assert len(lines) == 10  # header + n-1 grid rows
     report = json.loads((tmp_path / "potential-report.json").read_text())
+    assert sorted(report) == ["beta", "csv", "csv_sha256", "n", "p", "reps", "seed", "sup_abs_deviation",
+                              "tape", "timing", "versions", "workers"]
     assert report["tape"] == 2
     assert report["versions"] == harness.versions()
     assert report["csv_sha256"] == hashlib.sha256((tmp_path / "potential-path.csv").read_bytes()).hexdigest()
+    assert report["workers"] == 1
+    assert sorted(report["timing"]) == ["per_replicate_seconds", "processes", "wall_seconds"]
+    assert report["timing"]["processes"] == 1
+    assert report["timing"]["wall_seconds"] > 0
+    assert report["timing"]["per_replicate_seconds"] == report["timing"]["wall_seconds"] / 6
+
+    # a parallel run reports its workers and the processes its sweep used, and writes the same path
+    _shares_of(monkeypatch, 1)
+    try:
+        par = runner.invoke(cli_main, ["diagnose-potential", "--n", "10", "--p", "12", "--beta", "2", "--reps", "6",
+                                       "--seed", "2", "--workers", "2", "--out", str(tmp_path / "w2")])
+        assert par.exit_code == 0, par.output
+        assert _processes_used() == 2
+    finally:
+        harness._drop_pool()
+    parallel = json.loads((tmp_path / "w2" / "potential-report.json").read_text())
+    assert (parallel["workers"], parallel["timing"]["processes"]) == (2, 2)
+    assert parallel["csv_sha256"] == report["csv_sha256"]
 
     assert "[default: 2000]" in runner.invoke(cli_main, ["diagnose-potential", "--help"]).output
 

@@ -89,9 +89,7 @@ def test_degenerate_factor_keeps_product_spectrum():
     # a zero diagonal chi makes B_q singular, but S = BA and X_p X_q = AB
     # (A = X_p B_q^T, B = B_q / beta) still share their spectrum
     B_p, _ = _sampled_pair(3, 4, 5, 0.5, 18)
-    B_q = BidiagonalFactor(
-        n=3, kappa=5, beta=0.5, diag=np.array([1.0, 0.0, 1.5]), subdiag=np.array([0.5, 0.7])
-    )
+    B_q = BidiagonalFactor(beta=0.5, diag=np.array([1.0, 0.0, 1.5]), subdiag=np.array([0.5, 0.7]))
     X_p = laguerre_matrix(B_p)
     S = product_similarity(B_q, X_p)
     ev_S = np.sort(np.linalg.eigvalsh(S.dense()))
@@ -111,7 +109,7 @@ def test_construction_touches_only_bands_and_stays_fast():
     rng = np.random.default_rng(17)
     for n in (1_000, 10_000, 100_000):
         factor = BidiagonalFactor(
-            n=n, kappa=n, beta=1.0,
+            beta=1.0,
             diag=rng.uniform(0.5, 2.0, size=n),
             subdiag=rng.uniform(0.5, 2.0, size=n - 1),
         )
