@@ -447,16 +447,16 @@ def read_batch_csv(path: Path | str) -> dict:
             raise ConfigError(f"{path}:{lineno}: bad row {line!r}") from exc
     if label is None or not rows:
         raise ConfigError(f"{path}: not a sample CSV (missing label or rows)")
-    values = _finite_rows(np.array(rows), path)
+    values = _finite_rows(np.array(rows), f"{path}: every replicate is missing")
     params["failures"] = len(rows) - values.size
     return {"label": label, "params": params, "values": values}
 
 
-def _finite_rows(rows: np.ndarray, source: Path) -> np.ndarray:
-    """The rows that are not NaN (failed replicates), in replicate order; at least one must be."""
+def _finite_rows(rows: np.ndarray, none_finite: str) -> np.ndarray:
+    """The rows that are not NaN (failed replicates), in replicate order; none is ConfigError(none_finite)."""
     finite = rows[~np.isnan(rows)]
     if not finite.size:
-        raise ConfigError(f"{source}: every replicate is missing")
+        raise ConfigError(none_finite)
     return finite
 
 
@@ -530,10 +530,9 @@ def run_experiment(config: ExperimentConfig) -> tuple[Path, dict]:
     rows = sweep(config)
     params, constants = _sample_params(config)
     failures = params["failures"] = int(np.isnan(rows).sum())
+    mom = moments(_finite_rows(rows, f"every replicate of the {config.mode} sweep failed"))
     batch_path = config.out / f"{config.mode}-samples.csv"
     batch_sha256 = write_batch_csv(batch_path, config.mode, params, rows)
-
-    mom = moments(_finite_rows(rows, batch_path))
     report = {
         "tape": TAPE,
         "versions": dict(versions()),

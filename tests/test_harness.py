@@ -1,3 +1,4 @@
+import argparse
 import ast
 import dataclasses
 import hashlib
@@ -15,13 +16,10 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-import click
 import pytest
 import scipy
-from click.testing import CliRunner
 
-from lagprod import harness
-from lagprod.cli import main as cli_main
+from lagprod import cli, harness
 from lagprod.eig import EigConfig, banded_largest_eig, gershgorin_bounds
 from lagprod.ensemble import EnsembleParams, laguerre_matrix, sample_bidiagonal
 from lagprod.harness import (
@@ -47,6 +45,24 @@ from oracles import stack
 # for subprocesses that import the package from this checkout
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+
+
+def _cli(capsys, *args) -> tuple[int, str]:
+    """Run the CLI in-process: its exit code (argparse's own on a usage error) and its stdout + stderr."""
+    capsys.readouterr()
+    try:
+        code = cli.main(list(args))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out + err
+
+
+def _options(command: str) -> dict:
+    """The flags of a CLI command, each by its name, without --help."""
+    (commands,) = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {a.option_strings[0]: a for a in commands.choices[command]._actions
+            if a.option_strings and a.dest != "help"}
 
 
 def _tw_config(out, workers=1, reps=16):
@@ -128,7 +144,7 @@ _BLOCK_CASES = {
 
 
 @pytest.mark.parametrize("command", list(_BLOCK_CASES))
-def test_csv_bytes_do_not_depend_on_block_grouping(tmp_path, monkeypatch, command):
+def test_csv_bytes_do_not_depend_on_block_grouping(tmp_path, monkeypatch, capsys, command):
     # one replicate per block solves every matrix alone; blocks of 3 and the
     # default cap stack neighbours, so a row that read any other row of its
     # block would change these bytes.  11 replicates: blocks of 3 leave a
@@ -143,9 +159,9 @@ def test_csv_bytes_do_not_depend_on_block_grouping(tmp_path, monkeypatch, comman
             harness._drop_pool()  # helpers forked from here on see this cap
             for w in (1, 3):
                 out = tmp_path / f"{rows}-{w}"
-                res = CliRunner().invoke(cli_main, [command, *flags, "--reps", "11", "--seed", "8",
-                                                    "--workers", str(w), "--out", str(out)])
-                assert res.exit_code == 0, res.output
+                code, output = _cli(capsys, command, *flags, "--reps", "11", "--seed", "8",
+                                    "--workers", str(w), "--out", str(out))
+                assert code == 0, output
                 (csv,) = out.glob("*.csv")
                 blobs[rows, w] = csv.read_bytes()
     finally:
@@ -172,12 +188,12 @@ _CSV_SHA256 = {
 
 @pytest.mark.parametrize("command", list(_CSV_SHA256))
 @pytest.mark.parametrize("workers", [1, 2])
-def test_csv_bytes_are_pinned(tmp_path, monkeypatch, command, workers):
+def test_csv_bytes_are_pinned(tmp_path, monkeypatch, capsys, command, workers):
     flags, sha256 = _CSV_SHA256[command]
     _shares_of(monkeypatch, 1)  # so that the helper takes half of the 30 or 40 replicates
     try:
-        res = CliRunner().invoke(cli_main, [command, *flags, "--workers", str(workers), "--out", str(tmp_path)])
-        assert res.exit_code == 0, res.output
+        code, output = _cli(capsys, command, *flags, "--workers", str(workers), "--out", str(tmp_path))
+        assert code == 0, output
         assert _processes_used() == workers
     finally:
         harness._drop_pool()
@@ -223,7 +239,7 @@ def test_batch_csv_round_trip(tmp_path):
     assert batch["values"].tolist() == [1.0, math.pi, -1e-300]  # replicate order, NaN row dropped
 
 
-def test_read_batch_csv_reports_bad_lines(tmp_path):
+def test_read_batch_csv_reports_bad_lines(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("# label=x\nreplicate,value\n0,not-a-float\n")
     with pytest.raises(ConfigError) as excinfo:
@@ -238,13 +254,13 @@ def test_read_batch_csv_reports_bad_lines(tmp_path):
     with pytest.raises(ConfigError, match="every replicate is missing"):
         read_batch_csv(path)
     out = tmp_path / "cmp"
-    res = CliRunner().invoke(cli_main, ["compare", str(path), str(path), "--out", str(out)])
-    assert res.exit_code == 2, res.output
-    assert res.output.startswith("config error:") and "every replicate is missing" in res.output
+    code, output = _cli(capsys, "compare", str(path), str(path), "--out", str(out))
+    assert code == 2, output
+    assert output.startswith("config error:") and "every replicate is missing" in output
     assert not out.exists()
 
 
-def test_out_naming_a_file_is_a_config_error(tmp_path):
+def test_out_naming_a_file_is_a_config_error(tmp_path, capsys):
     # every command that takes --out refuses a file there, or a path under one, from
     # a flag or a config file, before it samples or reads anything; nothing is written
     batch = tmp_path / "batch.csv"
@@ -259,13 +275,13 @@ def test_out_naming_a_file_is_a_config_error(tmp_path):
                 ["compare", str(batch), str(batch)]]
     runs = [[*args, "--out", str(out)] for args in commands for out in (batch, batch / "sub")]
     for args in [*runs, ["sample-single", "--n", "4", "--p", "4", "--config", str(cfg)]]:
-        res = CliRunner().invoke(cli_main, args)
-        assert res.exit_code == 2, (args, res.output)
-        assert res.output.startswith("config error:"), (args, res.output)
+        code, output = _cli(capsys, *args)
+        assert code == 2, (args, output)
+        assert output.startswith("config error:"), (args, output)
     assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
-def test_unreadable_input_file_is_a_config_error(tmp_path):
+def test_unreadable_input_file_is_a_config_error(tmp_path, capsys):
     # bytes that are not UTF-8, or a directory, named as a sample CSV or as a config
     # file: each exits 2 with a config error naming the path, and writes nothing
     garbage = tmp_path / "garbage.bin"
@@ -277,9 +293,9 @@ def test_unreadable_input_file_is_a_config_error(tmp_path):
     for path in (garbage, folder):
         for args in (["compare", str(path), str(path)],
                      ["sample-tw", "--mesh", "0.1", "--cutoff", "8", "--reps", "2", "--config", str(path)]):
-            res = CliRunner().invoke(cli_main, [*args, "--out", str(out)])
-            assert res.exit_code == 2, (args, res.output)
-            assert res.output.startswith(f"config error: {path}: "), (args, res.output)
+            code, output = _cli(capsys, *args, "--out", str(out))
+            assert code == 2, (args, output)
+            assert output.startswith(f"config error: {path}: "), (args, output)
     assert sorted(tmp_path.rglob("*")) == before
 
 
@@ -348,8 +364,7 @@ def test_config_validation_errors(kwargs):
 @pytest.mark.parametrize("command,mode", [("sample-product", "product"), ("sample-single", "single"),
                                           ("sample-tw", "tw-reference")])
 def test_sampling_command_flags_are_its_modes_settings(command, mode):
-    options = {opt for param in cli_main.commands[command].params for opt in param.opts}
-    assert options == {f"--{k}" for k in [*harness.MODES[mode], *harness.SHARED]} | {"--config"}
+    assert _options(command).keys() == {f"--{k}" for k in [*harness.MODES[mode], *harness.SHARED]} | {"--config"}
     # and the config has one field per setting of the table
     assert [f.name for f in dataclasses.fields(ExperimentConfig)] == ["mode", *harness.SETTINGS]
 
@@ -363,27 +378,27 @@ def test_sampling_command_flags_are_its_modes_settings(command, mode):
     ("compare", {"out"}, {"--assert"}),
 ], ids=["sample-product", "sample-single", "sample-tw", "constants", "diagnose-potential", "compare"])
 def test_every_commands_flags_are_settings_table_entries(command, settings, own):
-    options = {param.opts[0]: param for param in cli_main.commands[command].params
-               if isinstance(param, click.Option)}
+    options = _options(command)
     assert options.keys() == {f"--{name}" for name in settings} | own
     for name in settings:
         kind, help_text = harness.SETTINGS[name]
-        expected = click.Path(path_type=Path) if kind is Path else click.types.convert_type(kind)
-        assert options[f"--{name}"].type.to_info_dict() == expected.to_info_dict(), name
-        assert options[f"--{name}"].help == help_text, name
+        flag = options[f"--{name}"]
+        assert flag.type is kind, name
+        # a command's own default of a setting (diagnose-potential's reps) shows in its help
+        assert flag.help == (help_text if flag.default is None else f"{help_text} [default: {flag.default}]"), name
 
 
 @pytest.mark.parametrize("command,body", [
     ("sample-product", "n = 4\np = 4\nq = 4\nmesh = 0.05\ncutoff = 9\n"),
     ("sample-tw", "n = 500\np = 3\nq = 2\n"),
 ], ids=["product-mesh-cutoff", "tw-sizes"])
-def test_config_file_setting_the_mode_does_not_take_is_refused(tmp_path, command, body):
+def test_config_file_setting_the_mode_does_not_take_is_refused(tmp_path, capsys, command, body):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(body)
     out = tmp_path / "out"
-    res = CliRunner().invoke(cli_main, [command, "--config", str(cfg), "--reps", "2", "--out", str(out)])
-    assert res.exit_code == 2, res.output
-    assert "config error:" in res.output
+    code, output = _cli(capsys, command, "--config", str(cfg), "--reps", "2", "--out", str(out))
+    assert code == 2, output
+    assert "config error:" in output
     assert not out.exists()
 
 
@@ -405,14 +420,14 @@ def test_product_run_resolves_constants_once(tmp_path, monkeypatch):
     assert calls == [(6, 7, 9, 0.5)]
 
 
-def test_product_report_constants_match_cli(tmp_path):
+def test_product_report_constants_match_cli(tmp_path, capsys):
     report_path, _ = run_experiment(ExperimentConfig(mode="product", n=6, p=7, q=9, beta=0.5, reps=3,
                                                      seed=1, out=tmp_path))
-    printed = CliRunner().invoke(cli_main, ["constants", "--n", "6", "--p", "7", "--q", "9", "--beta", "0.5"])
-    assert printed.exit_code == 0
-    assert json.loads(printed.output) == json.loads(report_path.read_text())["constants"]
-    # the same text form as the reports; click.echo adds the final newline
-    assert printed.output == json.dumps(scaling_report(coupled_scaling(6, 7, 9, 0.5)),
+    code, printed = _cli(capsys, "constants", "--n", "6", "--p", "7", "--q", "9", "--beta", "0.5")
+    assert code == 0
+    assert json.loads(printed) == json.loads(report_path.read_text())["constants"]
+    # the same text form as the reports, final newline included
+    assert printed == json.dumps(scaling_report(coupled_scaling(6, 7, 9, 0.5)),
                                         indent=2, sort_keys=True) + "\n"
 
 
@@ -458,12 +473,11 @@ def test_rerun_into_the_same_directory_leaves_no_stale_tail(tmp_path):
     assert _without_paths_and_timing(reused) == _without_paths_and_timing(fresh)
 
 
-def test_potential_rerun_into_the_same_directory_leaves_no_stale_tail(tmp_path):
-    runner = CliRunner()
+def test_potential_rerun_into_the_same_directory_leaves_no_stale_tail(tmp_path, capsys):
     for n, out in (("40", "reused"), ("6", "reused"), ("6", "fresh")):
-        res = runner.invoke(cli_main, ["diagnose-potential", "--n", n, "--p", "40", "--reps", "4",
-                                       "--seed", "3", "--out", str(tmp_path / out)])
-        assert res.exit_code == 0, res.output
+        code, output = _cli(capsys, "diagnose-potential", "--n", n, "--p", "40", "--reps", "4",
+                            "--seed", "3", "--out", str(tmp_path / out))
+        assert code == 0, output
     reused, fresh = tmp_path / "reused", tmp_path / "fresh"
     assert (reused / "potential-path.csv").read_bytes() == (fresh / "potential-path.csv").read_bytes()
     reports = [json.loads((d / "potential-report.json").read_text()) | {"csv": None, "timing": None}
@@ -523,15 +537,14 @@ def test_all_failed_replicates_raise_config_error(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "banded_largest_eig",
                         lambda S, cfg=None, scale=None: np.full(len(S.bands[0]), math.nan))
     config = ExperimentConfig(mode="product", n=4, p=4, q=4, beta=1.0, reps=3, seed=5, out=tmp_path)
-    with pytest.raises(ConfigError, match="every replicate is missing"):
+    with pytest.raises(ConfigError, match="^every replicate of the product sweep failed$"):
         run_experiment(config)
-    assert (tmp_path / "product-samples.csv").read_text().count(",nan") == 3
+    assert list(tmp_path.iterdir()) == []  # no CSV, no report
 
 
-def test_no_pool_for_fewer_replicates_than_workers(tmp_path, monkeypatch):
+def test_no_pool_for_fewer_replicates_than_workers(tmp_path, monkeypatch, capsys):
     # a sweep of less than two shares runs in-process at any worker count: 1 or 16
     # replicates (192 doubles) at the default share, and 3 or 5 in shares of 3
-    runner = CliRunner()
     args = ["sample-product", "--n", "6", "--p", "7", "--q", "9", "--beta", "1", "--seed", "3"]
     csv = "product-samples.csv"
 
@@ -544,23 +557,23 @@ def test_no_pool_for_fewer_replicates_than_workers(tmp_path, monkeypatch):
             _shares_of(monkeypatch, rows * _MODE_WIDTH["product"])
         out = tmp_path / f"{rows}-{reps}"
         flags = args + ["--reps", str(reps), "--out"]
-        assert runner.invoke(cli_main, flags + [str(out / "w1"), "--workers", "1"]).exit_code == 0
+        assert _cli(capsys, *flags, str(out / "w1"), "--workers", "1")[0] == 0
         with monkeypatch.context() as m:
             m.setattr(harness.multiprocessing, "get_context", no_pool)
             for w in (2, 8):
-                res = runner.invoke(cli_main, flags + [str(out / f"w{w}"), "--workers", str(w)])
-                assert res.exit_code == 0, res.output
+                code, output = _cli(capsys, *flags, str(out / f"w{w}"), "--workers", str(w))
+                assert code == 0, output
                 assert (out / "w1" / csv).read_bytes() == (out / f"w{w}" / csv).read_bytes()
 
 
-def test_two_shares_fork_one_helper(tmp_path, monkeypatch):
+def test_two_shares_fork_one_helper(tmp_path, monkeypatch, capsys):
     args = ["sample-product", "--n", "6", "--p", "7", "--q", "9", "--beta", "1", "--reps", "6", "--seed", "3"]
     csv = "product-samples.csv"
     _shares_of(monkeypatch, 3 * _MODE_WIDTH["product"])
     try:
         for w in (1, 2):
-            res = CliRunner().invoke(cli_main, args + ["--workers", str(w), "--out", str(tmp_path / f"w{w}")])
-            assert res.exit_code == 0, res.output
+            code, output = _cli(capsys, *args, "--workers", str(w), "--out", str(tmp_path / f"w{w}"))
+            assert code == 0, output
             assert _processes_used() == w
     finally:
         harness._drop_pool()
@@ -581,13 +594,13 @@ def test_report_records_the_processes_the_sweep_used(tmp_path, monkeypatch):
         assert json.loads((tmp_path / "product-report.json").read_text())["timing"]["processes"] == processes
 
 
-def _benchmark_workloads() -> dict:
-    """``WORKLOADS`` of the benchmark's run.py, read from its source without importing it."""
-    tree = ast.parse((Path(__file__).resolve().parents[1] / "benchmark" / "run.py").read_text())
+def _benchmark_literal(file: str, name: str):
+    """The value of ``name`` in the benchmark's ``file``, read from its source without importing it."""
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "benchmark" / file).read_text())
     for node in tree.body:
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["WORKLOADS"]:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]:
             return ast.literal_eval(node.value)
-    raise AssertionError("benchmark/run.py defines no WORKLOADS")
+    raise AssertionError(f"benchmark/{file} defines no {name}")
 
 
 def test_benchmark_workloads_process_counts_at_two_workers(tmp_path):
@@ -595,8 +608,34 @@ def test_benchmark_workloads_process_counts_at_two_workers(tmp_path):
     # in-process at --workers 2; tw2-airy's 64 replicates of 2400 doubles keep one helper
     counts = {name: harness._blocks(resolve_config(spec["mode"], dict(spec["flags"], reps=spec["reps"],
                                                                        workers=2, out=tmp_path)))[1]
-              for name, spec in _benchmark_workloads().items()}
+              for name, spec in _benchmark_literal("run.py", "WORKLOADS").items()}
     assert counts == {"product-iid-n256": 1, "product-pq-n1024": 1, "tw2-airy": 2}
+
+
+def test_benchmark_cli_exit_codes(tmp_path):
+    # the benchmark's cold starts run the console script as a process, ``sys.exit(main())``
+    # with --k=v flags, so main's return value must become the process's exit code
+    def lagprod(*args):
+        return subprocess.run([sys.executable, *_benchmark_literal("run.py", "CLI"), *args], env=ENV,
+                              capture_output=True, text=True, timeout=120)
+
+    settings = dict(n=6, p=7, q=9, beta=0.5, reps=5, seed=3)
+    run_experiment(resolve_config("product", dict(settings, workers=1, out=tmp_path / "w1")))
+    proc = lagprod("sample-product", *(f"--{k}={v}" for k, v in settings.items()), "--workers=2",
+                   f"--out={tmp_path / 'w2'}")
+    assert proc.returncode == 0, proc.stderr
+    assert ((tmp_path / "w2" / "product-samples.csv").read_bytes()
+            == (tmp_path / "w1" / "product-samples.csv").read_bytes())
+
+    proc = lagprod("constants", "--n=8", "--p=7", "--q=9")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error:"), proc.stderr
+    assert lagprod("constants", "--n=8", "--p=8", "--q=8", "--bogus=1").returncode == 2
+
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_batch_csv(a, "a", {}, np.array([0.0, 1.0]))
+    write_batch_csv(b, "b", {}, np.array([2.0, 3.0]))
+    assert lagprod("compare", str(a), str(b), "--assert=0").returncode == 3
 
 
 def test_sweeps_of_under_two_blocks_still_split(tmp_path):
@@ -759,8 +798,8 @@ def test_cli_import_loads_no_scipy_stats_or_special():
     # each costs CLI start-up time: the code that needs scipy.special imports it on
     # first use, lagprod.eig loads scipy's LAPACK extension without scipy.linalg
     # (whose array-API layer imports numpy.testing), and the report versions read
-    # package metadata only for numba, when it is installed
-    names = ("scipy.stats", "scipy.special", "scipy.linalg", "numpy.testing", "importlib.metadata")
+    # package metadata only for numba, when it is installed; the CLI is argparse's, not click's
+    names = ("scipy.stats", "scipy.special", "scipy.linalg", "numpy.testing", "importlib.metadata", "click")
     code = f"import sys, lagprod.cli; print(*(m for m in {names!r} if m in sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -820,15 +859,6 @@ def test_run_report_json_checksums(tmp_path):
     assert payload == report  # the report returned is the one written
 
 
-def _span_targets() -> dict:
-    """``SPAN_TARGETS`` of the benchmark's runner, read from its source without importing it."""
-    tree = ast.parse((Path(__file__).resolve().parents[1] / "benchmark" / "runner.py").read_text())
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["SPAN_TARGETS"]:
-            return ast.literal_eval(node.value)
-    raise AssertionError("benchmark/runner.py defines no SPAN_TARGETS")
-
-
 # the replicates one call to a span target covers: a block's range, a stack's
 # rows (one per matrix or stream); every other target covers one per call
 _COVERED = {
@@ -849,7 +879,7 @@ def test_benchmark_span_targets_resolve_and_see_every_replicate(tmp_path, monkey
     # there, and the calls
     counts: dict = {}
     calls: dict = {}
-    for name, targets in _span_targets().items():
+    for name, targets in _benchmark_literal("runner.py", "SPAN_TARGETS").items():
         for module_name, attr in targets:
             module = importlib.import_module(module_name)
             real = getattr(module, attr)
@@ -1016,66 +1046,54 @@ def test_overflowing_moments_print_no_warning(tmp_path):
     assert math.isnan(mom["skewness"])
 
 
-def test_cli_constants_and_exit_codes(tmp_path):
-    runner = CliRunner()
-    ok = runner.invoke(cli_main, ["constants", "--n", "8", "--p", "8", "--q", "8", "--beta", "1"])
-    assert ok.exit_code == 0
-    assert json.loads(ok.output)["C_n"] == pytest.approx(2.0, abs=1e-12)
+def test_cli_constants_and_exit_codes(tmp_path, capsys):
+    code, output = _cli(capsys, "constants", "--n", "8", "--p", "8", "--q", "8", "--beta", "1")
+    assert code == 0
+    assert json.loads(output)["C_n"] == pytest.approx(2.0, abs=1e-12)
 
-    bad = runner.invoke(cli_main, ["constants", "--n", "8", "--p", "7", "--q", "9"])
-    assert bad.exit_code == 2
+    code, output = _cli(capsys, "constants", "--n", "8", "--p", "7", "--q", "9")
+    assert code == 2
 
-    missing = runner.invoke(cli_main, ["constants", "--n", "8", "--p", "8"])
-    assert missing.exit_code == 2
-    assert missing.output == "config error: product mode requires n, p, q\n"
+    code, output = _cli(capsys, "constants", "--n", "8", "--p", "8")
+    assert code == 2
+    assert output == "config error: product mode requires n, p, q\n"
 
-    # a non-finite beta has no constants (and inf is not valid JSON)
+    # a non-finite beta has no constants (and inf is not valid JSON); a value that
+    # starts with "-" and is not a plain number is given as --beta=-inf, since
+    # argparse reads "--beta -inf" as a flag without its value
     for beta in ("inf", "-inf", "nan"):
-        bad = runner.invoke(cli_main, ["constants", "--n", "8", "--p", "8", "--q", "8", "--beta", beta])
-        assert bad.exit_code == 2, (beta, bad.output)
-        assert bad.output.startswith("config error: beta must be positive and finite")
+        code, output = _cli(capsys, "constants", "--n", "8", "--p", "8", "--q", "8", f"--beta={beta}")
+        assert code == 2, (beta, output)
+        assert output.startswith("config error: beta must be positive and finite")
 
     out = tmp_path / "run"
-    sampled = runner.invoke(
-        cli_main,
-        ["sample-tw", "--beta", "2", "--reps", "12", "--seed", "4", "--mesh", "0.1",
-         "--cutoff", "8", "--out", str(out)],
-    )
-    assert sampled.exit_code == 0
+    code, output = _cli(capsys, "sample-tw", "--beta", "2", "--reps", "12", "--seed", "4", "--mesh", "0.1",
+                        "--cutoff", "8", "--out", str(out))
+    assert code == 0
     csv = out / "tw-reference-samples.csv"
 
-    same = runner.invoke(cli_main, ["compare", str(csv), str(csv), "--assert", "0.5"])
-    assert same.exit_code == 0
+    code, output = _cli(capsys, "compare", str(csv), str(csv), "--assert", "0.5")
+    assert code == 0
 
     # D > nan is never true, so a non-finite bound is a gate that cannot fail
     for bound in ("nan", "inf"):
-        bad = runner.invoke(cli_main, ["compare", str(csv), str(csv), "--assert", bound])
-        assert bad.exit_code == 2, (bound, bad.output)
-        assert bad.output.startswith("config error: --assert must be finite")
+        code, output = _cli(capsys, "compare", str(csv), str(csv), "--assert", bound)
+        assert code == 2, (bound, output)
+        assert output.startswith("config error: --assert must be finite")
 
     prod_out = tmp_path / "prod"
-    runner.invoke(
-        cli_main,
-        ["sample-product", "--n", "4", "--p", "4", "--q", "4", "--beta", "1",
-         "--reps", "12", "--seed", "1", "--out", str(prod_out)],
-    )
-    breach = runner.invoke(
-        cli_main,
-        ["compare", str(prod_out / "product-samples.csv"), str(csv), "--assert", "1e-9"],
-    )
-    assert breach.exit_code == 3
+    _cli(capsys, "sample-product", "--n", "4", "--p", "4", "--q", "4", "--beta", "1",
+         "--reps", "12", "--seed", "1", "--out", str(prod_out))
+    code, output = _cli(capsys, "compare", str(prod_out / "product-samples.csv"), str(csv), "--assert", "1e-9")
+    assert code == 3
 
 
-def test_cli_diagnose_potential(tmp_path, monkeypatch):
-    runner = CliRunner()
-    res = runner.invoke(
-        cli_main,
-        ["diagnose-potential", "--n", "10", "--p", "12", "--beta", "2",
-         "--reps", "6", "--seed", "2", "--out", str(tmp_path)],
-    )
-    assert res.exit_code == 0
-    assert res.output.splitlines()[:2] == [f"wrote {tmp_path / 'potential-path.csv'}",
-                                           f"wrote {tmp_path / 'potential-report.json'}"]
+def test_cli_diagnose_potential(tmp_path, monkeypatch, capsys):
+    code, output = _cli(capsys, "diagnose-potential", "--n", "10", "--p", "12", "--beta", "2",
+                        "--reps", "6", "--seed", "2", "--out", str(tmp_path))
+    assert code == 0
+    assert output.splitlines()[:2] == [f"wrote {tmp_path / 'potential-path.csv'}",
+                                       f"wrote {tmp_path / 'potential-report.json'}"]
     lines = (tmp_path / "potential-path.csv").read_text().splitlines()
     assert lines[0] == "x,mean,stderr,reference"
     assert len(lines) == 10  # header + n-1 grid rows
@@ -1094,9 +1112,9 @@ def test_cli_diagnose_potential(tmp_path, monkeypatch):
     # a parallel run reports its workers and the processes its sweep used, and writes the same path
     _shares_of(monkeypatch, 1)
     try:
-        par = runner.invoke(cli_main, ["diagnose-potential", "--n", "10", "--p", "12", "--beta", "2", "--reps", "6",
-                                       "--seed", "2", "--workers", "2", "--out", str(tmp_path / "w2")])
-        assert par.exit_code == 0, par.output
+        code, output = _cli(capsys, "diagnose-potential", "--n", "10", "--p", "12", "--beta", "2", "--reps", "6",
+                            "--seed", "2", "--workers", "2", "--out", str(tmp_path / "w2"))
+        assert code == 0, output
         assert _processes_used() == 2
     finally:
         harness._drop_pool()
@@ -1104,17 +1122,23 @@ def test_cli_diagnose_potential(tmp_path, monkeypatch):
     assert (parallel["workers"], parallel["timing"]["processes"]) == (2, 2)
     assert parallel["csv_sha256"] == report["csv_sha256"]
 
-    assert "[default: 2000]" in runner.invoke(cli_main, ["diagnose-potential", "--help"]).output
+    assert "[default: 2000]" in _cli(capsys, "diagnose-potential", "--help")[1]
 
-    # the same checks as the sampling commands: exit 2, nothing written
-    for args in (["--n", "10"], ["--n", "10", "--p", "9"], ["--n", "10", "--p", "12", "--beta", "inf"],
-                 ["--n", "10", "--p", "12", "--workers", "0"], ["--n", "10", "--p", "12", "--workers", "-3"],
-                 ["--n", "1", "--p", "1"]):
+    # the same checks as the sampling commands: exit 2, nothing written.  A flag
+    # prefix (--rep) is a usage error, and a sweep whose every replicate overflows
+    # to nan is a config error that names no file
+    dp = ["diagnose-potential", "--reps", "3"]
+    for args in ([*dp, "--n", "10"], [*dp, "--n", "10", "--p", "9"], [*dp, "--n", "10", "--p", "12", "--beta", "inf"],
+                 [*dp, "--n", "10", "--p", "12", "--workers", "0"], [*dp, "--n", "10", "--p", "12", "--workers", "-3"],
+                 [*dp, "--n", "1", "--p", "1"], ["diagnose-potential", "--n", "10", "--p", "12", "--rep", "3"],
+                 ["sample-single", "--n", "8", "--p", "8", "--beta", "2e307", "--reps", "2"],
+                 ["sample-product", "--n", "8", "--p", "8", "--q", "8", "--beta", "1e306", "--reps", "2"]):
         out = tmp_path / "bad"
-        bad = runner.invoke(cli_main, ["diagnose-potential", *args, "--reps", "3", "--out", str(out)])
-        assert bad.exit_code == 2, (args, bad.output)
-        assert "config error:" in bad.output
+        code, output = _cli(capsys, *args, "--out", str(out))
+        assert code == 2, (args, output)
+        assert ("usage:" if "--rep" in args else "config error:") in output, (args, output)
+        assert str(out) not in output
         assert not out.exists()
-    # a missing setting is the config's error, not click's
-    missing = runner.invoke(cli_main, ["diagnose-potential", "--n", "10", "--out", str(out)])
-    assert missing.output == "config error: single mode requires n, p\n"
+    # a missing setting is the config's error, not argparse's
+    code, output = _cli(capsys, "diagnose-potential", "--n", "10", "--out", str(out))
+    assert output == "config error: single mode requires n, p\n"
