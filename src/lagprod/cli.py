@@ -75,6 +75,7 @@ def diagnose_potential(**flags) -> None:
     write_json(report_path,
                {"n": config.n, "p": config.p, "beta": config.beta, "reps": config.reps, "seed": config.seed,
                 "workers": config.workers, "tape": TAPE, "versions": dict(versions()), "sup_abs_deviation": sup,
+                "failures": result["failures"],
                 "csv": str(csv_path), "csv_sha256": csv_sha256, "timing": timing_report(config, t0)})
     print(f"wrote {csv_path}")
     print(f"wrote {report_path}")

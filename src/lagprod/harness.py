@@ -6,26 +6,28 @@ a leading axis, and runs the matrix assembly, the solve and the statistic
 once for the block (only the LAPACK calls run once per matrix), returning
 one row per replicate.  Each row is computed with the same floating-point
 operations as it would be alone, so no value depends on how replicates are
-grouped.  :func:`_map_blocks` is the one place a batch is drawn: one loop,
+grouped.  :func:`sweep` draws the rows of every statistic: one loop,
 :func:`_chunk`, cuts each process's run of ``0..reps-1`` into blocks of at
-most :data:`STACK_DOUBLES` doubles per stacked array.  There is one mode
-per sampling command: ``product``, ``single`` and ``tw-reference``.  The
-potential path of ``diagnose-potential`` is a second statistic of ``single``
-draws: :func:`mean_potential_path` reads it off the very matrix X that each
-``single`` replicate solves.  One table, :data:`SETTINGS` with :data:`SHARED`
-and :data:`MODES`, says which settings each mode takes (a config refuses the
-others) and gives the flags of every command, each of which checks its
-settings by building a config.  A config is frozen: it is checked once, when
-it is built, and resolves its mode's constants (product or single scaling,
-or the Airy discretization) there; the sweep and the report of a run reuse
-and show them.
+most :data:`STACK_DOUBLES` doubles per stacked array, numpy's overflow
+warnings off.  A failed replicate is a row that holds a non-finite value:
+every reader of rows drops and counts it (:func:`_finite_rows`) and refuses
+a sweep with no other.  There is one mode per sampling command: ``product``,
+``single`` and ``tw-reference``.  The potential path of ``diagnose-potential``
+is a second statistic of ``single`` draws: :func:`mean_potential_path` reads
+it off the very matrix X that each ``single`` replicate solves.  One table,
+:data:`SETTINGS` with :data:`SHARED` and :data:`MODES`, says which settings
+each mode takes (a config refuses the others) and gives the flags of every
+command, each of which checks its settings by building a config.  A config
+is frozen: it is checked once, when it is built, and resolves its mode's
+constants (product or single scaling, or the Airy discretization) there;
+the sweep and the report of a run reuse and show them.
 
 Replicate r of a run with master seed s draws only from the streams
 ``(s, r)`` of :func:`lagprod.variates.streams` (product mode: ``(s, 2r)`` and
 ``(s, 2r+1)``, one per factor), so the set of sample values is independent of
-worker count and scheduling; outputs are byte-identical for any --workers value.  The
-worker count is capped so that each process's share stacks at least :data:`PROCESS_DOUBLES`
-doubles (:func:`_blocks`); a sweep of fewer than twice that runs in-process.
+worker count and scheduling; outputs are byte-identical for any --workers value.  One cap,
+:func:`_blocks`, sets the processes a sweep runs and reports: at most ``workers`` and ``reps``,
+each stacking at least :data:`PROCESS_DOUBLES` doubles; a sweep of under twice that runs in-process.
 
 At w >= 2 processes the caller keeps w - 1 helper processes, each joined to
 it by a pipe, forked at the first parallel sweep of that count and reused
@@ -280,22 +282,19 @@ def _path_replicate(config: ExperimentConfig, start: int, stop: int) -> np.ndarr
 
 
 def _blocks(config: ExperimentConfig) -> tuple[int, int]:
-    """Replicates per block (<= STACK_DOUBLES doubles) and processes (>= PROCESS_DOUBLES doubles each)."""
+    """Replicates per block (<= STACK_DOUBLES doubles) and processes: at most workers and reps,
+    each stacking at least PROCESS_DOUBLES doubles."""
     # the doubles one replicate stacks: the Airy tape's N * mc micro-normals, or a chi factor's 2n
     width = config.constants.N * config.constants.mc if config.mode == "tw-reference" else 2 * config.n
     processes = max(1, config.reps * width // PROCESS_DOUBLES)
-    return max(1, STACK_DOUBLES // width), min(config.workers, processes)
+    return max(1, STACK_DOUBLES // width), min(config.workers, config.reps, processes)
 
 
 def _chunk(replicate, step: int, config: ExperimentConfig, start: int, stop: int) -> np.ndarray:
-    """The rows of ``replicate`` over blocks of ``step`` replicates of start..stop-1."""
-    return np.concatenate([replicate(config, a, min(a + step, stop)) for a in range(start, stop, step)])
-
-
-def _map_blocks(replicate, config: ExperimentConfig) -> np.ndarray:
-    """The rows of the block function ``replicate`` over replicates 0..reps-1, in order."""
-    step, processes = _blocks(config)
-    return _pmap(partial(_chunk, replicate, step, config), config.reps, processes)
+    """The rows of ``replicate`` over blocks of ``step`` replicates of start..stop-1; an overflow
+    makes its row non-finite (a failed replicate), so numpy's warning of it is off."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.concatenate([replicate(config, a, min(a + step, stop)) for a in range(start, stop, step)])
 
 
 # the process's helpers, ((pid, workers), [(process, pipe end), ...]); see the module docstring
@@ -330,7 +329,6 @@ def _start_helper():
 def _pmap(fn, count: int, workers: int) -> np.ndarray:
     """The rows of the chunk function ``fn(start, stop)`` over replicates 0..count-1, in order."""
     global _pool
-    workers = min(workers, count)
     if workers <= 1:
         return fn(0, count)
     key = (os.getpid(), workers)
@@ -371,12 +369,13 @@ def _drop_pool() -> None:
     _pool = None
 
 
-def sweep(config: ExperimentConfig) -> np.ndarray:
-    """Rows of replicates 0..reps-1 of the config's mode, in replicate order."""
-    # looked up per call, so a replicate patched on the module is the one run
-    replicate = {"product": _product_replicate, "single": _single_replicate,
-                 "tw-reference": _tw_replicate}[config.mode]
-    return _map_blocks(replicate, config)
+def sweep(config: ExperimentConfig, replicate=None) -> np.ndarray:
+    """Rows of the block function ``replicate`` (default: the config's mode's, looked up per call,
+    so that a patch on the module runs) over replicates 0..reps-1, in replicate order."""
+    replicate = replicate or {"product": _product_replicate, "single": _single_replicate,
+                              "tw-reference": _tw_replicate}[config.mode]
+    step, processes = _blocks(config)
+    return _pmap(partial(_chunk, replicate, step, config), config.reps, processes)
 
 
 # --- persistence -----------------------------------------------------------
@@ -419,7 +418,7 @@ def write_batch_csv(path: Path, label: str, params: dict, rows: np.ndarray) -> s
 
 
 def read_batch_csv(path: Path | str) -> dict:
-    """Load a sample CSV as a ``{"label", "params", "values"}`` dict; NaN rows are dropped and counted."""
+    """Load a sample CSV as a ``{"label", "params", "values"}`` dict; failed rows are dropped and counted."""
     path = Path(path)
     label = None
     params: dict = {}
@@ -448,14 +447,14 @@ def read_batch_csv(path: Path | str) -> dict:
     if label is None or not rows:
         raise ConfigError(f"{path}: not a sample CSV (missing label or rows)")
     values = _finite_rows(np.array(rows), f"{path}: every replicate is missing")
-    params["failures"] = len(rows) - values.size
+    params["failures"] = len(rows) - len(values)
     return {"label": label, "params": params, "values": values}
 
 
 def _finite_rows(rows: np.ndarray, none_finite: str) -> np.ndarray:
-    """The rows that are not NaN (failed replicates), in replicate order; none is ConfigError(none_finite)."""
-    finite = rows[~np.isnan(rows)]
-    if not finite.size:
+    """The rows (of any width) that hold no non-finite value, in order; none is ConfigError(none_finite)."""
+    finite = rows[np.isfinite(rows).reshape(len(rows), -1).all(axis=1)]
+    if not len(finite):
         raise ConfigError(none_finite)
     return finite
 
@@ -528,9 +527,9 @@ def run_experiment(config: ExperimentConfig) -> tuple[Path, dict]:
     """
     t0 = time.perf_counter()
     rows = sweep(config)
+    finite = _finite_rows(rows, f"every replicate of the {config.mode} sweep failed")
     params, constants = _sample_params(config)
-    failures = params["failures"] = int(np.isnan(rows).sum())
-    mom = moments(_finite_rows(rows, f"every replicate of the {config.mode} sweep failed"))
+    params["failures"] = len(rows) - len(finite)
     batch_path = config.out / f"{config.mode}-samples.csv"
     batch_sha256 = write_batch_csv(batch_path, config.mode, params, rows)
     report = {
@@ -538,8 +537,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[Path, dict]:
         "versions": dict(versions()),
         "config": _field_dict(config) | {"out": str(config.out), "tol": config.eig_config().rel_tol},
         "constants": constants,
-        "moments": mom,
-        "failures": failures,
+        "moments": moments(finite),
+        "failures": params["failures"],
         "artifacts": {"samples_csv": {"path": str(batch_path), "sha256": batch_sha256}},
         "timing": timing_report(config, t0),
     }
@@ -563,28 +562,27 @@ def compare_batches(path_a: Path | str, path_b: Path | str, out: Path | str | No
     return payload
 
 
-def mean_potential_path(config: ExperimentConfig) -> dict[str, np.ndarray]:
-    """Empirical mean of the potential path of a ``single`` config's draws.
-
-    Replicate r reads it off the matrix X that ``single`` replicate r solves.
-    Returns arrays x (grid k/m), mean, stderr and the reference x^2/2.
-    """
+def mean_potential_path(config: ExperimentConfig) -> dict:
+    """Empirical mean of the potential path of a ``single`` config's draws, read off the matrix X
+    that each ``single`` replicate solves: arrays x (grid k/m), mean and stderr over the paths
+    that did not fail, and the reference x^2/2; and the count of failures."""
     if config.mode != "single":
         raise ConfigError(f"the potential path is a statistic of single draws, got mode {config.mode!r}")
     if config.n < 2:
         raise ConfigError(f"the potential path needs n >= 2 for a grid point, got n={config.n}")
-    M = config.reps
-    paths = _map_blocks(_path_replicate, config)
+    paths = _finite_rows(sweep(config, _path_replicate), f"every replicate of the {config.mode} sweep failed")
+    M = len(paths)
     x = np.arange(1, config.n) / config.constants.m
     return {
         "x": x,
         "mean": paths.mean(axis=0),
         "stderr": paths.std(axis=0, ddof=1) / math.sqrt(M) if M > 1 else np.zeros(config.n - 1),
         "reference": 0.5 * x * x,
+        "failures": config.reps - M,
     }
 
 
-def write_potential_csv(path: Path, result: dict[str, np.ndarray]) -> str:
+def write_potential_csv(path: Path, result: dict) -> str:
     """Write the potential path table of :func:`mean_potential_path`; returns its sha256."""
     cols = ("x", "mean", "stderr", "reference")
     lines = [",".join(cols)] + [",".join(repr(float(v)) for v in row) for row in zip(*map(result.get, cols))]

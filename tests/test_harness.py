@@ -581,9 +581,12 @@ def test_two_shares_fork_one_helper(tmp_path, monkeypatch, capsys):
 
 
 def test_report_records_the_processes_the_sweep_used(tmp_path, monkeypatch):
-    # shares of 3 replicates: the count is the workers asked for, capped at one share per process
-    for reps, workers, processes in [(6, 1, 1), (5, 2, 1), (6, 2, 2), (8, 8, 2), (9, 8, 3), (30, 3, 3)]:
-        _shares_of(monkeypatch, 3 * _MODE_WIDTH["product"])
+    # the count is the workers asked for, capped at one share per process and at one replicate:
+    # shares of 3 replicates, then of 1 double, where one replicate outweighs a share
+    share = 3 * _MODE_WIDTH["product"]
+    for reps, workers, doubles, processes in [(6, 1, share, 1), (5, 2, share, 1), (6, 2, share, 2),
+                                              (8, 8, share, 2), (9, 8, share, 3), (30, 3, share, 3), (2, 3, 1, 2)]:
+        _shares_of(monkeypatch, doubles)
         config = ExperimentConfig(mode="product", n=6, p=7, q=9, reps=reps, seed=2, workers=workers,
                                   out=tmp_path)
         try:
@@ -1045,6 +1048,18 @@ def test_overflowing_moments_print_no_warning(tmp_path):
     assert (mom["mean"], mom["variance"]) == (3.888605865947146e+151, 1.7614704769497649e+301)
     assert math.isnan(mom["skewness"])
 
+    # a sweep whose every draw overflows prints only its config error, from the caller's
+    # blocks and (at 400 replicates of 16 doubles on 2 workers) from a helper's
+    for mode, args in [("product", ["sample-product", "--n", "8", "--p", "8", "--q", "8", "--beta", "1e306"]),
+                       ("single", ["sample-single", "--n", "8", "--p", "8", "--beta", "2e307", "--reps", "400",
+                                   "--workers", "2"]),
+                       ("single", ["diagnose-potential", "--n", "8", "--p", "8", "--beta", "2e307", "--reps", "2"])]:
+        out = tmp_path / "bad"
+        proc = subprocess.run([sys.executable, "-m", "lagprod.cli", *args, "--out", str(out)], env=ENV,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (2, f"config error: every replicate of the {mode} sweep failed\n")
+        assert not out.exists()
+
 
 def test_cli_constants_and_exit_codes(tmp_path, capsys):
     code, output = _cli(capsys, "constants", "--n", "8", "--p", "8", "--q", "8", "--beta", "1")
@@ -1088,6 +1103,13 @@ def test_cli_constants_and_exit_codes(tmp_path, capsys):
     assert code == 3
 
 
+def _path_fails_at(real, bad, config, start, stop):
+    rows = real(config, start, stop)
+    if start <= bad < stop:
+        rows[bad - start, -1] = np.inf
+    return rows
+
+
 def test_cli_diagnose_potential(tmp_path, monkeypatch, capsys):
     code, output = _cli(capsys, "diagnose-potential", "--n", "10", "--p", "12", "--beta", "2",
                         "--reps", "6", "--seed", "2", "--out", str(tmp_path))
@@ -1098,12 +1120,12 @@ def test_cli_diagnose_potential(tmp_path, monkeypatch, capsys):
     assert lines[0] == "x,mean,stderr,reference"
     assert len(lines) == 10  # header + n-1 grid rows
     report = json.loads((tmp_path / "potential-report.json").read_text())
-    assert sorted(report) == ["beta", "csv", "csv_sha256", "n", "p", "reps", "seed", "sup_abs_deviation",
-                              "tape", "timing", "versions", "workers"]
+    assert sorted(report) == ["beta", "csv", "csv_sha256", "failures", "n", "p", "reps", "seed",
+                              "sup_abs_deviation", "tape", "timing", "versions", "workers"]
     assert report["tape"] == 2
     assert report["versions"] == harness.versions()
     assert report["csv_sha256"] == hashlib.sha256((tmp_path / "potential-path.csv").read_bytes()).hexdigest()
-    assert report["workers"] == 1
+    assert (report["workers"], report["failures"]) == (1, 0)
     assert sorted(report["timing"]) == ["per_replicate_seconds", "processes", "wall_seconds"]
     assert report["timing"]["processes"] == 1
     assert report["timing"]["wall_seconds"] > 0
@@ -1132,7 +1154,8 @@ def test_cli_diagnose_potential(tmp_path, monkeypatch, capsys):
                  [*dp, "--n", "10", "--p", "12", "--workers", "0"], [*dp, "--n", "10", "--p", "12", "--workers", "-3"],
                  [*dp, "--n", "1", "--p", "1"], ["diagnose-potential", "--n", "10", "--p", "12", "--rep", "3"],
                  ["sample-single", "--n", "8", "--p", "8", "--beta", "2e307", "--reps", "2"],
-                 ["sample-product", "--n", "8", "--p", "8", "--q", "8", "--beta", "1e306", "--reps", "2"]):
+                 ["sample-product", "--n", "8", "--p", "8", "--q", "8", "--beta", "1e306", "--reps", "2"],
+                 ["diagnose-potential", "--n", "8", "--p", "8", "--beta", "2e307", "--reps", "2"]):
         out = tmp_path / "bad"
         code, output = _cli(capsys, *args, "--out", str(out))
         assert code == 2, (args, output)
@@ -1142,3 +1165,15 @@ def test_cli_diagnose_potential(tmp_path, monkeypatch, capsys):
     # a missing setting is the config's error, not argparse's
     code, output = _cli(capsys, "diagnose-potential", "--n", "10", "--out", str(out))
     assert output == "config error: single mode requires n, p\n"
+
+    # a replicate whose path is not finite is a failure: the mean and stderr are the others'
+    config = resolve_config("single", dict(n=10, p=12, beta=2.0, reps=6, seed=2))
+    rows = np.delete(sweep(config, harness._path_replicate), 4, axis=0)
+    monkeypatch.setattr(harness, "_path_replicate", partial(_path_fails_at, harness._path_replicate, 4))
+    code, output = _cli(capsys, "diagnose-potential", "--n", "10", "--p", "12", "--beta", "2", "--reps", "6",
+                        "--seed", "2", "--out", str(tmp_path / "one"))
+    assert code == 0, output
+    table = np.loadtxt(tmp_path / "one" / "potential-path.csv", delimiter=",", skiprows=1)
+    assert table[:, 1].tolist() == rows.mean(axis=0).tolist()
+    assert table[:, 2].tolist() == (rows.std(axis=0, ddof=1) / math.sqrt(5)).tolist()
+    assert json.loads((tmp_path / "one" / "potential-report.json").read_text())["failures"] == 1
